@@ -1,170 +1,52 @@
-(* A binary min-heap keyed on (time, sequence number): the sequence number
-   breaks ties so that simultaneous events fire in insertion order.
-
-   Event records are mutable and recycled through a freelist: in steady
-   state the run loop allocates nothing per event beyond the caller's
-   action closure. *)
-
-type event = { mutable time : float; mutable seq : int; mutable action : unit -> unit }
+(* A one-island view over `Calendar`: every event comes from source 0 and
+   carries the engine's own sequence number, so the calendar's
+   (time, seq, src) order fires simultaneous events in insertion order.
+   The calendar's pooled lanes are the engine's heap: in steady state the
+   run loop allocates nothing per event beyond the caller's action
+   closure. *)
 
 type t = {
-  mutable heap : event array;
-  mutable size : int;
+  cal : (unit -> unit) Calendar.t;
   mutable clock : float;
   mutable next_seq : int;
-  mutable free : event array;
-  mutable free_n : int;
 }
 
-let noop () = ()
-
-(* Shared sentinel filling empty heap/freelist slots; never mutated, never
-   executed. *)
-let dummy = { time = 0.0; seq = 0; action = noop }
-
-let default_capacity = 64
-
-let create () =
-  {
-    heap = Array.make default_capacity dummy;
-    size = 0;
-    clock = 0.0;
-    next_seq = 0;
-    free = Array.make default_capacity dummy;
-    free_n = 0;
-  }
+let create () = { cal = Calendar.create ~dummy:ignore (); clock = 0.0; next_seq = 0 }
 
 let now t = t.clock
-let pending t = t.size
-let capacity t = Array.length t.heap
-let next_time t = if t.size = 0 then None else Some t.heap.(0).time
+let pending t = Calendar.size t.cal
+let capacity t = Calendar.capacity t.cal
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let grow t =
-  let bigger = Array.make (2 * Array.length t.heap) dummy in
-  Array.blit t.heap 0 bigger 0 t.size;
-  t.heap <- bigger
-
-let alloc_event t ~time ~seq ~action =
-  if t.free_n > 0 then begin
-    t.free_n <- t.free_n - 1;
-    let ev = t.free.(t.free_n) in
-    t.free.(t.free_n) <- dummy;
-    ev.time <- time;
-    ev.seq <- seq;
-    ev.action <- action;
-    ev
-  end
-  else { time; seq; action }
-
-(* Recycle a popped record. The action reference is dropped so the
-   freelist never retains closures (and whatever they capture) across
-   windows. *)
-let recycle t ev =
-  ev.action <- noop;
-  if t.free_n = Array.length t.free then begin
-    let bigger = Array.make (2 * Array.length t.free) dummy in
-    Array.blit t.free 0 bigger 0 t.free_n;
-    t.free <- bigger
-  end;
-  t.free.(t.free_n) <- ev;
-  t.free_n <- t.free_n + 1
-
-let push t ev =
-  if t.size = Array.length t.heap then grow t;
-  t.heap.(t.size) <- ev;
-  t.size <- t.size + 1;
-  (* Sift up. *)
-  let i = ref (t.size - 1) in
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    before t.heap.(!i) t.heap.(parent)
-  do
-    let parent = (!i - 1) / 2 in
-    let tmp = t.heap.(parent) in
-    t.heap.(parent) <- t.heap.(!i);
-    t.heap.(!i) <- tmp;
-    i := parent
-  done
-
-let pop t =
-  assert (t.size > 0);
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
-  t.heap.(t.size) <- dummy;
-  (* Sift down. *)
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest = !i then continue := false
-    else begin
-      let tmp = t.heap.(!smallest) in
-      t.heap.(!smallest) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
-      i := !smallest
-    end
-  done;
-  top
+let next_time t =
+  if Calendar.is_empty t.cal then None else Some (Calendar.min_time t.cal)
 
 let schedule t ~at action =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule: at=%g is before now=%g" at t.clock);
-  let ev = alloc_event t ~time:at ~seq:t.next_seq ~action in
-  t.next_seq <- t.next_seq + 1;
-  push t ev
+  Calendar.push t.cal ~time:at ~src:0 ~seq:t.next_seq action;
+  t.next_seq <- t.next_seq + 1
 
 let schedule_in t ~after action = schedule t ~at:(t.clock +. after) action
 
-let run t =
-  while t.size > 0 do
-    let ev = pop t in
-    let time = ev.time in
-    let action = ev.action in
-    recycle t ev;
-    t.clock <- time;
-    action ()
-  done
+let step t =
+  let action = Calendar.pop t.cal in
+  t.clock <- Calendar.last_time t.cal;
+  action ()
+
+let run t = while not (Calendar.is_empty t.cal) do step t done
 
 let run_until t limit =
-  let continue = ref true in
-  while !continue do
-    if t.size = 0 || t.heap.(0).time > limit then continue := false
-    else begin
-      let ev = pop t in
-      let time = ev.time in
-      let action = ev.action in
-      recycle t ev;
-      t.clock <- time;
-      action ()
-    end
+  while (not (Calendar.is_empty t.cal)) && Calendar.min_time t.cal <= limit do
+    step t
   done;
   if t.clock < limit then t.clock <- limit
 
 (* Reset for reuse. A pooled engine that once ran a warehouse-scale
-   scenario would otherwise retain its peak-size heap and freelist arrays
-   forever ([grow] only ever doubles); shrinking here returns the engine
-   to a bounded footprint between runs. *)
+   scenario would otherwise retain its peak-size calendar lanes forever
+   (they only ever double); shrinking here returns the engine to a
+   bounded footprint between runs. *)
 let clear ?shrink_to t =
-  let cap = max default_capacity (Option.value ~default:default_capacity shrink_to) in
-  if Array.length t.heap > cap then t.heap <- Array.make cap dummy
-  else Array.fill t.heap 0 t.size dummy;
-  if Array.length t.free > cap then begin
-    t.free <- Array.make cap dummy;
-    t.free_n <- 0
-  end
-  else begin
-    Array.fill t.free 0 t.free_n dummy;
-    t.free_n <- 0
-  end;
-  t.size <- 0;
+  Calendar.clear ?shrink_to t.cal;
   t.clock <- 0.0;
   t.next_seq <- 0
