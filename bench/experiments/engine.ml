@@ -18,7 +18,7 @@
    (time, seq, src) total order — the property that makes the island
    barrier merge order-invariant.
 
-   Part 4 runs a small {!Sched.Fleet} scenario sequentially and on two
+   Part 4 runs a small {!Sched.Cluster.fleet} scenario sequentially and on two
    domains and byte-compares the rendered reports — the island
    determinism guarantee, end to end. *)
 
@@ -117,21 +117,21 @@ let part3 ppf =
   Shape.check ppf "calendar drains in (time, seq, src) total order" !sorted
 
 let part4 ppf =
-  let cfg = Sched.Fleet.default ~nodes:4 ~jobs:12 ~seed:11 in
+  let cfg = Sched.Cluster.fleet ~nodes:4 ~jobs:12 ~seed:11 in
   let t0 = Sys.time () in
-  let seq = Sched.Fleet.run ~domains:1 cfg in
+  let seq = Sched.Cluster.run ~domains:1 cfg in
   let t1 = Sys.time () in
-  let par = Sched.Fleet.run ~domains:2 cfg in
+  let par = Sched.Cluster.run ~domains:2 cfg in
   let t2 = Sys.time () in
   Shape.check ppf "islanded fleet run byte-identical to sequential"
-    (Sched.Fleet.render cfg seq = Sched.Fleet.render cfg par);
+    (Sched.Cluster.render cfg seq = Sched.Cluster.render cfg par);
   Shape.check ppf "fleet run executed events over multiple windows"
-    (seq.Sched.Fleet.events > 0 && seq.Sched.Fleet.windows > 1);
+    (seq.Sched.Cluster.events > 0 && seq.Sched.Cluster.windows > 1);
   Shape.check ppf "fleet run completed every job"
-    (seq.Sched.Fleet.completed = 12 && seq.Sched.Fleet.failed = 0);
+    (seq.Sched.Cluster.completed = 12 && seq.Sched.Cluster.failed = 0);
   Format.fprintf ppf
     "  (fleet seq %.2fs, 2 domains %.2fs of host time; %d events, %d windows)@."
-    (t1 -. t0) (t2 -. t1) seq.Sched.Fleet.events seq.Sched.Fleet.windows
+    (t1 -. t0) (t2 -. t1) seq.Sched.Cluster.events seq.Sched.Cluster.windows
 
 let run ppf =
   Shape.section ppf

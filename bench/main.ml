@@ -138,8 +138,8 @@ let micro_tests () =
     Test.make ~name:"engine/fleet_small"
       (Staged.stage (fun () ->
            ignore
-             (Sched.Fleet.run ~domains:1
-                (Sched.Fleet.default ~nodes:2 ~jobs:3 ~seed:5))));
+             (Sched.Cluster.run ~domains:1
+                (Sched.Cluster.fleet ~nodes:2 ~jobs:3 ~seed:5))));
     (* Cluster: one small racked scenario with the per-edge lookahead
        matrix in play. *)
     Test.make ~name:"cluster/cluster_small"

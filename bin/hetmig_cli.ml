@@ -588,71 +588,11 @@ let audit_cmd =
       const run $ json $ rules $ scenarios $ domains $ jobs $ seq $ list_rules
       $ fail_on_warn)
 
-(* --- fleet ------------------------------------------------------------------ *)
+(* --- fleet and cluster --------------------------------------------------- *)
 
-let fleet_cmd =
-  let run nodes jobs seed racks mix islands seq epoch rate placement
-      no_migration fail_rate out =
-    let must v = validated ~cmd:"fleet" v in
-    let nodes = must (Sched.Validate.at_least ~what:"--nodes" ~min:2 nodes) in
-    let jobs = must (Sched.Validate.at_least ~what:"--jobs" ~min:1 jobs) in
-    let epoch = must (Sched.Validate.positive_float ~what:"--epoch" epoch) in
-    let rate = must (Sched.Validate.positive_float ~what:"--rate" rate) in
-    let fail_rate =
-      must (Sched.Validate.probability ~what:"--fail-rate" fail_rate)
-    in
-    let islands = must (Sched.Validate.islands islands) in
-    let topology =
-      must (Sched.Validate.topology ~nodes ~racks ~mix_name:mix)
-    in
-    let cfg =
-      { (Sched.Fleet.default ~nodes ~jobs ~seed) with
-        Sched.Fleet.epoch_s = epoch;
-        mean_interarrival_s = rate;
-        placement;
-        migration = not no_migration;
-        fail_rate;
-        topology;
-      }
-    in
-    let domains =
-      if seq then 1
-      else
-        match islands with
-        | Some d -> d
-        | None -> Parallel.Pool.default_jobs ()
-    in
-    let r = Sched.Fleet.run ~domains cfg in
-    let text = Sched.Fleet.render cfg r in
-    (match out with
-    | Some path -> write_file path text
-    | None -> print_string text);
-    if r.Sched.Fleet.failed > 0 && cfg.Sched.Fleet.fail_rate = 0.0 then exit 1
-  in
-  let nodes =
-    Arg.(value & opt int 64
-         & info [ "nodes" ] ~docv:"N" ~doc:"Worker nodes (alternating \
-                                            x86-64/arm64 servers).")
-  in
-  let racks =
-    Arg.(value & opt int 1
-         & info [ "racks" ] ~docv:"R"
-             ~doc:"Racks to split the nodes over (must divide --nodes). 1 \
-                   (the default) is the flat pre-cluster topology whose \
-                   single hop is the paper's 10GbE link; more racks use \
-                   ToR + aggregation hops, making migration and hDSM \
-                   costs path-dependent.")
-  in
-  let mix =
-    Arg.(value & opt string "alternate"
-         & info [ "mix" ] ~docv:"MIX"
-             ~doc:"ISA mix: alternate (per node), isa-racks (whole racks \
-                   per ISA), x86-only or arm-only.")
-  in
-  let jobs =
-    Arg.(value & opt int 1000 & info [ "jobs" ] ~docv:"N" ~doc:"Jobs to run.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
+(* --islands/--seq: the domain count a run spans. The report never
+   depends on it. *)
+let domains_term ~cmd =
   let islands =
     Arg.(value & opt (some int) None
          & info [ "islands" ] ~docv:"D"
@@ -666,27 +606,119 @@ let fleet_cmd =
          & info [ "seq" ]
              ~doc:"Sequential reference run (same as --islands 1).")
   in
+  let domains islands seq =
+    match validated ~cmd (Sched.Validate.islands islands) with
+    | _ when seq -> 1
+    | Some d -> d
+    | None -> Parallel.Pool.default_jobs ()
+  in
+  Term.(const domains $ islands $ seq)
+
+(* The flags fleet and cluster share, with per-command defaults. They
+   yield the cluster defaults on the requested topology, the domain
+   count, and the report path; each command then sets its policy. *)
+let island_run_term ~cmd ~nodes ~racks ~jobs ~rate =
+  let nodes =
+    Arg.(value & opt int nodes
+         & info [ "nodes" ] ~docv:"N"
+             ~doc:"Worker nodes (their ISAs follow --mix).")
+  in
+  let racks =
+    Arg.(value & opt int racks
+         & info [ "racks" ] ~docv:"R"
+             ~doc:"Racks to split the nodes over (must divide --nodes). 1 \
+                   is the flat pre-cluster topology whose single hop is \
+                   the paper's 10GbE link; more racks use ToR + \
+                   aggregation hops, making migration and hDSM costs \
+                   path-dependent.")
+  in
+  let mix =
+    Arg.(value & opt string "alternate"
+         & info [ "mix" ] ~docv:"MIX"
+             ~doc:"ISA mix: alternate (per node), isa-racks (whole racks \
+                   per ISA), x86-only or arm-only.")
+  in
+  let jobs =
+    Arg.(value & opt int jobs & info [ "jobs" ] ~docv:"N" ~doc:"Jobs to run.")
+  in
+  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let epoch =
     Arg.(value & opt float 0.25
          & info [ "epoch" ] ~docv:"S"
-             ~doc:"Control-traffic batching epoch in seconds — the \
-                   runtime's conservative lookahead.")
+             ~doc:"Control-traffic batching epoch in seconds; each island \
+                   pair's lookahead is this plus its path latency.")
   in
   let rate =
-    Arg.(value & opt float 0.5
+    Arg.(value & opt float rate
          & info [ "rate" ] ~docv:"S" ~doc:"Mean job interarrival in seconds.")
+  in
+  let out =
+    Arg.(value & opt (some string) None
+         & info [ "out" ] ~docv:"PATH"
+             ~doc:"Write the report to PATH instead of stdout.")
+  in
+  let make nodes racks mix jobs seed domains epoch rate out =
+    let must v = validated ~cmd v in
+    let nodes = must (Sched.Validate.at_least ~what:"--nodes" ~min:2 nodes) in
+    let jobs = must (Sched.Validate.at_least ~what:"--jobs" ~min:1 jobs) in
+    let epoch = must (Sched.Validate.positive_float ~what:"--epoch" epoch) in
+    let rate = must (Sched.Validate.positive_float ~what:"--rate" rate) in
+    let topology =
+      must (Sched.Validate.topology ~nodes ~racks ~mix_name:mix)
+    in
+    ( { (Sched.Cluster.default ~topology ~jobs ~seed) with
+        Sched.Cluster.epoch_s = epoch;
+        mean_interarrival_s = rate;
+      },
+      domains,
+      out )
+  in
+  Term.(const make $ nodes $ racks $ mix $ jobs $ seed $ domains_term ~cmd
+        $ epoch $ rate $ out)
+
+(* Run and report. Every job must complete or fail: a run that loses
+   one is broken however good the report looks. *)
+let run_island_sched ~cmd (cfg, domains, out) =
+  let r = Sched.Cluster.run ~domains cfg in
+  let text = Sched.Cluster.render cfg r in
+  (match out with
+  | Some path -> write_file path text
+  | None -> print_string text);
+  if
+    r.Sched.Cluster.completed + r.Sched.Cluster.failed
+    <> cfg.Sched.Cluster.jobs
+  then begin
+    Format.eprintf "hetmig %s: job conservation violated@." cmd;
+    exit 1
+  end
+
+let fleet_cmd =
+  let run (cfg, domains, out) placement no_migration fail_rate =
+    let fail_rate =
+      validated ~cmd:"fleet"
+        (Sched.Validate.probability ~what:"--fail-rate" fail_rate)
+    in
+    run_island_sched ~cmd:"fleet"
+      ( { cfg with
+          Sched.Cluster.policy = placement;
+          migration = not no_migration;
+          fail_rate;
+        },
+        domains,
+        out )
   in
   let placement =
     let placement_conv =
-      let parse = function
-        | "ll" | "least-loaded" -> Ok Sched.Fleet.Least_loaded
-        | "rr" | "round-robin" -> Ok Sched.Fleet.Round_robin
-        | s -> Error (`Msg (Printf.sprintf "unknown placement %s (ll, rr)" s))
+      let parse s =
+        match Sched.Cluster.policy_of_name s with
+        | Some (Sched.Cluster.Least_loaded | Sched.Cluster.Round_robin as p) ->
+          Ok p
+        | _ -> Error (`Msg (Printf.sprintf "unknown placement %s (ll, rr)" s))
       in
       Arg.conv (parse, fun ppf p ->
-          Format.pp_print_string ppf (Sched.Fleet.placement_name p))
+          Format.pp_print_string ppf (Sched.Cluster.policy_name p))
     in
-    Arg.(value & opt placement_conv Sched.Fleet.Least_loaded
+    Arg.(value & opt placement_conv Sched.Cluster.Least_loaded
          & info [ "placement" ] ~docv:"POLICY"
              ~doc:"Placement policy: ll (least-loaded) or rr (round-robin).")
   in
@@ -701,134 +733,61 @@ let fleet_cmd =
              ~doc:"Per-phase failure probability (phases retry, then the \
                    job fails).")
   in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"Write the report to PATH instead of stdout.")
-  in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
-         "Warehouse-scale mixed-ISA fleet simulation on the parallel \
-          time-island runtime: one scheduler island plus one island per \
-          node, synchronized on topology-aware conservative-lookahead \
-          windows (each island pair's minimum delay is the epoch plus \
-          its rack-fabric path latency). The report is a pure function \
-          of the configuration, not of the domain count.")
-    Term.(const run $ nodes $ jobs $ seed $ racks $ mix $ islands $ seq
-          $ epoch $ rate $ placement $ no_migration $ fail_rate $ out)
-
-(* --- cluster ---------------------------------------------------------------- *)
+         "Warehouse-scale mixed-ISA fleet simulation: the cluster core \
+          under a least-loaded or round-robin placement with per-epoch \
+          load-balancing migration, on the parallel time-island runtime \
+          (one scheduler island plus one island per node, synchronized on \
+          topology-aware conservative-lookahead windows). The report is a \
+          pure function of the configuration, not of the domain count.")
+    Term.(const run
+          $ island_run_term ~cmd:"fleet" ~nodes:64 ~racks:1 ~jobs:1000
+              ~rate:0.5
+          $ placement $ no_migration $ fail_rate)
 
 let cluster_cmd =
-  let run nodes racks mix jobs seed policy power_cap islands seq epoch rate
-      out =
+  let run (cfg, domains, out) policy power_cap =
     let must v = validated ~cmd:"cluster" v in
-    let nodes = must (Sched.Validate.at_least ~what:"--nodes" ~min:2 nodes) in
-    let jobs = must (Sched.Validate.at_least ~what:"--jobs" ~min:1 jobs) in
-    let epoch = must (Sched.Validate.positive_float ~what:"--epoch" epoch) in
-    let rate = must (Sched.Validate.positive_float ~what:"--rate" rate) in
-    let islands = must (Sched.Validate.islands islands) in
-    let topology =
-      must (Sched.Validate.topology ~nodes ~racks ~mix_name:mix)
-    in
     let policy =
       match Sched.Cluster.policy_of_name policy with
       | Some p -> p
       | None ->
         Format.eprintf
           "hetmig cluster: unknown --policy %s (want pack-power-cap, \
-           edp-migrate or work-steal)@."
+           edp-migrate, work-steal, least-loaded or round-robin)@."
           policy;
         exit 2
     in
-    let cfg =
-      { (Sched.Cluster.default ~topology ~jobs ~seed) with
-        Sched.Cluster.policy;
-        epoch_s = epoch;
-        mean_interarrival_s = rate;
-      }
-    in
-    let cfg =
+    let power_cap_w =
       match power_cap with
-      | None -> cfg
-      | Some w ->
-        let w = must (Sched.Validate.positive_float ~what:"--power-cap" w) in
-        { cfg with Sched.Cluster.power_cap_w = w }
+      | None -> cfg.Sched.Cluster.power_cap_w
+      | Some w -> must (Sched.Validate.positive_float ~what:"--power-cap" w)
     in
-    let domains =
-      if seq then 1
-      else
-        match islands with
-        | Some d -> d
-        | None -> Parallel.Pool.default_jobs ()
-    in
-    let r = Sched.Cluster.run ~domains cfg in
-    let text = Sched.Cluster.render cfg r in
-    match out with
-    | Some path -> write_file path text
-    | None -> print_string text
+    if policy = Sched.Cluster.Pack_power_cap then
+      ignore
+        (must
+           (Sched.Validate.power_cap ~topology:cfg.Sched.Cluster.topology
+              power_cap_w));
+    run_island_sched ~cmd:"cluster"
+      ({ cfg with Sched.Cluster.policy; power_cap_w }, domains, out)
   in
-  let nodes =
-    Arg.(value & opt int 256
-         & info [ "nodes" ] ~docv:"N" ~doc:"Cluster nodes.")
-  in
-  let racks =
-    Arg.(value & opt int 8
-         & info [ "racks" ] ~docv:"R"
-             ~doc:"Racks to split the nodes over (must divide --nodes).")
-  in
-  let mix =
-    Arg.(value & opt string "alternate"
-         & info [ "mix" ] ~docv:"MIX"
-             ~doc:"ISA mix: alternate (per node), isa-racks (whole racks \
-                   per ISA), x86-only or arm-only.")
-  in
-  let jobs =
-    Arg.(value & opt int 2000 & info [ "jobs" ] ~docv:"N" ~doc:"Jobs to run.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let policy =
     Arg.(value & opt string "edp-migrate"
          & info [ "policy" ] ~docv:"POLICY"
              ~doc:"Global policy: pack-power-cap (power-capped bin \
                    packing), edp-migrate (energy/EDP-aware placement and \
                    global dynamic migration) or work-steal (idle nodes \
-                   steal, in-rack victims first).")
+                   steal, in-rack victims first); least-loaded and \
+                   round-robin run the fleet placements.")
   in
   let power_cap =
     Arg.(value & opt (some float) None
          & info [ "power-cap" ] ~docv:"W"
              ~doc:"Projected cluster power budget for pack-power-cap \
-                   (default: 75% of 110W per node).")
-  in
-  let islands =
-    Arg.(value & opt (some int) None
-         & info [ "islands" ] ~docv:"D"
-             ~doc:
-               "Domains to span the run over (default: HETMIG_JOBS or the \
-                machine's core count). The report is byte-identical \
-                whatever this is.")
-  in
-  let seq =
-    Arg.(value & flag
-         & info [ "seq" ]
-             ~doc:"Sequential reference run (same as --islands 1).")
-  in
-  let epoch =
-    Arg.(value & opt float 0.25
-         & info [ "epoch" ] ~docv:"S"
-             ~doc:"Control-traffic batching epoch in seconds; each island \
-                   pair's lookahead is this plus its path latency.")
-  in
-  let rate =
-    Arg.(value & opt float 0.02
-         & info [ "rate" ] ~docv:"S" ~doc:"Mean job interarrival in seconds.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"Write the report to PATH instead of stdout.")
+                   (default: 75% of 110W per node). It must cover the idle \
+                   cluster plus the cheapest placement of the widest job.")
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -839,14 +798,16 @@ let cluster_cmd =
           parallel time-island runtime with topology-aware lookahead. \
           The report is a pure function of the configuration, not of \
           the domain count.")
-    Term.(const run $ nodes $ racks $ mix $ jobs $ seed $ policy $ power_cap
-          $ islands $ seq $ epoch $ rate $ out)
+    Term.(const run
+          $ island_run_term ~cmd:"cluster" ~nodes:256 ~racks:8 ~jobs:2000
+              ~rate:0.02
+          $ policy $ power_cap)
 
 (* --- serve ------------------------------------------------------------------ *)
 
 let serve_cmd =
   let run nodes seed arrivals trace_file services duration days rate_high
-      rate_low peak_rps demand limit replicas max_replicas routing islands seq
+      rate_low peak_rps demand limit replicas max_replicas routing domains
       epoch slo policy window workers zero_downtime crashes out trace metrics
       save_trace =
     (* Sources are lazy: nothing here materializes a trace. The run
@@ -870,7 +831,6 @@ let serve_cmd =
     let must v = validated ~cmd:"serve" v in
     let nodes = must (Sched.Validate.at_least ~what:"--nodes" ~min:2 nodes) in
     let epoch = must (Sched.Validate.positive_float ~what:"--epoch" epoch) in
-    let islands = must (Sched.Validate.islands islands) in
     let check_rate what = function
       | None -> ()
       | Some r -> ignore (must (Sched.Validate.positive_float ~what r))
@@ -907,13 +867,6 @@ let serve_cmd =
       match demand with
       | Some d -> { cfg with Sched.Service.demand_instructions = d }
       | None -> cfg
-    in
-    let domains =
-      if seq then 1
-      else
-        match islands with
-        | Some d -> d
-        | None -> Parallel.Pool.default_jobs ()
     in
     let obs = if trace <> None || metrics then Obs.create () else Obs.noop in
     let r = Sched.Service.run ~domains ~obs cfg in
@@ -1028,19 +981,6 @@ let serve_cmd =
              ~doc:"Replica selection: p2c (power of two choices) or \
                    least-loaded.")
   in
-  let islands =
-    Arg.(value & opt (some int) None
-         & info [ "islands" ] ~docv:"D"
-             ~doc:
-               "Domains to span the run over (default: HETMIG_JOBS or the \
-                machine's core count). The report is byte-identical \
-                whatever this is.")
-  in
-  let seq =
-    Arg.(value & flag
-         & info [ "seq" ]
-             ~doc:"Sequential reference run (same as --islands 1).")
-  in
   let epoch =
     Arg.(value & opt float 0.05
          & info [ "epoch" ] ~docv:"S"
@@ -1124,8 +1064,8 @@ let serve_cmd =
           domain count.")
     Term.(const run $ nodes $ seed $ arrivals $ trace_file $ services
           $ duration $ days $ rate_high $ rate_low $ peak_rps $ demand
-          $ limit $ replicas $ max_replicas $ routing $ islands $ seq
-          $ epoch $ slo $ policy $ window $ workers $ zero_downtime
+          $ limit $ replicas $ max_replicas $ routing
+          $ domains_term ~cmd:"serve" $ epoch $ slo $ policy $ window $ workers $ zero_downtime
           $ crashes $ out $ trace $ metrics $ save_trace)
 
 (* --- experiment ---------------------------------------------------------------- *)

@@ -3,7 +3,7 @@
    schedule verifier, the island race detector, and the determinism
    certifier.
 
-   Per scenario (fleet, serve):
+   Per scenario (fleet, cluster, serve):
 
      - base: the scenario runs audited at domains=1 and domains=N; the
        d=1 capture is schedule-verified and race-checked, and the two
@@ -69,7 +69,7 @@ let wants_prefix rules prefix =
 (* The committed scenarios: the fleet smoke (64 nodes, 1000 jobs) and
    the bursty 16-node serve, both seed 42 — the configurations the CI
    sequential-vs-islands diffs already pin down. *)
-let default_fleet = Sched.Fleet.default ~nodes:64 ~jobs:1000 ~seed:42
+let default_fleet = Sched.Cluster.fleet ~nodes:64 ~jobs:1000 ~seed:42
 
 (* The CI cluster smoke: 256 nodes in 8 racks, EDP-aware global
    migration — the topology-aware lookahead paths under certification. *)
@@ -104,112 +104,60 @@ let run ?rules:ids ?(scenarios = all_scenarios) ?(domains = 4) ?jobs
   let wants_cap = wants_prefix ids "island" in
   let wants_det = wants_prefix ids "det-" in
   let dn_label = Printf.sprintf "domains=%d" domains in
-  (* Each task returns (diagnostics, labeled header-stripped renders);
-     the renders feed the post-pool sensitivity checks. *)
-  let fleet_base () =
-    let label = "fleet" in
-    let r1, cap1 = Sched.Fleet.run_audited ~domains:1 fleet in
-    let rn, capn = Sched.Fleet.run_audited ~domains fleet in
-    let render1 = Sched.Fleet.render fleet r1 in
-    let rendern = Sched.Fleet.render fleet rn in
-    let obs1 =
-      { Det.r_label = "domains=1"; r_render = render1; r_capture = Some cap1 }
-    in
-    let obsn =
-      { Det.r_label = dn_label; r_render = rendern; r_capture = Some capn }
-    in
-    let diags =
-      (if wants_cap then
-         Islands_check.check ~label cap1 @ Island_race.check ~label cap1
-       else [])
-      @
-      if wants_det then Det.certify ~label ~reference:obs1 ~candidate:obsn
-      else []
-    in
-    (diags, [ ("fleet:base", body render1) ])
+  let certify ~label ~candidate_capture ~reference_capture render1 rendern =
+    Det.certify ~label
+      ~reference:
+        { Det.r_label = "domains=1"; r_render = render1;
+          r_capture = reference_capture }
+      ~candidate:
+        { Det.r_label = dn_label; r_render = rendern;
+          r_capture = candidate_capture }
   in
-  let fleet_variant ~tag cfg () =
-    let label = "fleet" in
-    let render1 = Sched.Fleet.render cfg (Sched.Fleet.run ~domains:1 cfg) in
-    let rendern = Sched.Fleet.render cfg (Sched.Fleet.run ~domains cfg) in
-    let diags =
-      Det.certify ~label
-        ~reference:
-          { Det.r_label = "domains=1"; r_render = render1; r_capture = None }
-        ~candidate:
-          { Det.r_label = dn_label; r_render = rendern; r_capture = None }
+  (* One island scenario's tasks. Each task returns (diagnostics,
+     labeled header-stripped renders); the renders feed the post-pool
+     sensitivity checks. The base runs audited at domains=1 and N; the
+     seed and epoch variants run plain and are certified on renders. *)
+  let island_tasks ~label ~run_audited ~run ~render ~seed ~epoch base =
+    let base_task () =
+      let r1, cap1 = run_audited ~domains:1 base in
+      let rn, capn = run_audited ~domains base in
+      let render1 = render base r1 in
+      let diags =
+        (if wants_cap then
+           Islands_check.check ~label cap1 @ Island_race.check ~label cap1
+         else [])
+        @
+        if wants_det then
+          certify ~label ~reference_capture:(Some cap1)
+            ~candidate_capture:(Some capn) render1 (render base rn)
+        else []
+      in
+      (diags, [ (label ^ ":base", body render1) ])
     in
-    (diags, [ (tag, body render1) ])
+    let variant_task ~tag cfg () =
+      let render1 = render cfg (run ~domains:1 cfg) in
+      let rendern = render cfg (run ~domains cfg) in
+      ( certify ~label ~reference_capture:None ~candidate_capture:None render1
+          rendern,
+        [ (label ^ ":" ^ tag, body render1) ] )
+    in
+    (if wants_cap || wants_det then [ base_task ] else [])
+    @
+    if wants_det then
+      [
+        variant_task ~tag:"seed" (seed base);
+        variant_task ~tag:"epoch" (epoch base);
+      ]
+    else []
   in
-  let cluster_base () =
-    let label = "cluster" in
-    let r1, cap1 = Sched.Cluster.run_audited ~domains:1 cluster in
-    let rn, capn = Sched.Cluster.run_audited ~domains cluster in
-    let render1 = Sched.Cluster.render cluster r1 in
-    let rendern = Sched.Cluster.render cluster rn in
-    let obs1 =
-      { Det.r_label = "domains=1"; r_render = render1; r_capture = Some cap1 }
-    in
-    let obsn =
-      { Det.r_label = dn_label; r_render = rendern; r_capture = Some capn }
-    in
-    let diags =
-      (if wants_cap then
-         Islands_check.check ~label cap1 @ Island_race.check ~label cap1
-       else [])
-      @
-      if wants_det then Det.certify ~label ~reference:obs1 ~candidate:obsn
-      else []
-    in
-    (diags, [ ("cluster:base", body render1) ])
-  in
-  let cluster_variant ~tag cfg () =
-    let label = "cluster" in
-    let render1 = Sched.Cluster.render cfg (Sched.Cluster.run ~domains:1 cfg) in
-    let rendern = Sched.Cluster.render cfg (Sched.Cluster.run ~domains cfg) in
-    let diags =
-      Det.certify ~label
-        ~reference:
-          { Det.r_label = "domains=1"; r_render = render1; r_capture = None }
-        ~candidate:
-          { Det.r_label = dn_label; r_render = rendern; r_capture = None }
-    in
-    (diags, [ (tag, body render1) ])
-  in
-  let serve_base () =
-    let label = "serve" in
-    let r1, cap1 = Sched.Service.run_audited ~domains:1 serve in
-    let rn, capn = Sched.Service.run_audited ~domains serve in
-    let render1 = Sched.Service.render serve r1 in
-    let rendern = Sched.Service.render serve rn in
-    let obs1 =
-      { Det.r_label = "domains=1"; r_render = render1; r_capture = Some cap1 }
-    in
-    let obsn =
-      { Det.r_label = dn_label; r_render = rendern; r_capture = Some capn }
-    in
-    let diags =
-      (if wants_cap then
-         Islands_check.check ~label cap1 @ Island_race.check ~label cap1
-       else [])
-      @
-      if wants_det then Det.certify ~label ~reference:obs1 ~candidate:obsn
-      else []
-    in
-    (diags, [ ("serve:base", body render1) ])
-  in
-  let serve_variant ~tag cfg () =
-    let label = "serve" in
-    let render1 = Sched.Service.render cfg (Sched.Service.run ~domains:1 cfg) in
-    let rendern = Sched.Service.render cfg (Sched.Service.run ~domains cfg) in
-    let diags =
-      Det.certify ~label
-        ~reference:
-          { Det.r_label = "domains=1"; r_render = render1; r_capture = None }
-        ~candidate:
-          { Det.r_label = dn_label; r_render = rendern; r_capture = None }
-    in
-    (diags, [ (tag, body render1) ])
+  let cluster_tasks ~label =
+    island_tasks ~label
+      ~run_audited:(fun ~domains c -> Sched.Cluster.run_audited ~domains c)
+      ~run:(fun ~domains c -> Sched.Cluster.run ~domains c)
+      ~render:Sched.Cluster.render
+      ~seed:(fun c -> { c with Sched.Cluster.seed = c.Sched.Cluster.seed + 1 })
+      ~epoch:(fun c ->
+        { c with Sched.Cluster.epoch_s = c.Sched.Cluster.epoch_s *. 2.0 })
   in
   let sched_render r = Format.asprintf "%a" Sched.Scheduler.pp_result r in
   let sched_base () =
@@ -240,57 +188,23 @@ let run ?rules:ids ?(scenarios = all_scenarios) ?(domains = 4) ?jobs
     List.concat_map
       (fun scenario ->
         match scenario with
-        | Fleet ->
-            (if wants_cap || wants_det then [ fleet_base ] else [])
-            @
-            if wants_det then
-              [
-                fleet_variant ~tag:"fleet:seed"
-                  { fleet with Sched.Fleet.seed = fleet.Sched.Fleet.seed + 1 };
-                fleet_variant ~tag:"fleet:epoch"
-                  {
-                    fleet with
-                    Sched.Fleet.epoch_s = fleet.Sched.Fleet.epoch_s *. 2.0;
-                  };
-              ]
-            else []
-        | Cluster ->
-            (if wants_cap || wants_det then [ cluster_base ] else [])
-            @
-            if wants_det then
-              [
-                cluster_variant ~tag:"cluster:seed"
-                  {
-                    cluster with
-                    Sched.Cluster.seed = cluster.Sched.Cluster.seed + 1;
-                  };
-                cluster_variant ~tag:"cluster:epoch"
-                  {
-                    cluster with
-                    Sched.Cluster.epoch_s =
-                      cluster.Sched.Cluster.epoch_s *. 2.0;
-                  };
-              ]
-            else []
+        | Fleet -> cluster_tasks ~label:"fleet" fleet
+        | Cluster -> cluster_tasks ~label:"cluster" cluster
         | Serve ->
-            (if wants_cap || wants_det then [ serve_base ] else [])
-            @
-            if wants_det then
-              [
-                serve_variant ~tag:"serve:seed"
-                  {
-                    serve with
-                    Sched.Service.seed = serve.Sched.Service.seed + 1;
-                  };
-                serve_variant ~tag:"serve:epoch"
-                  {
-                    serve with
-                    Sched.Service.epoch_s = serve.Sched.Service.epoch_s *. 2.0;
-                  };
-              ]
-            else []
-        | Scheduler ->
-            if wants_det then [ sched_base; sched_seed ] else [])
+            island_tasks ~label:"serve"
+              ~run_audited:(fun ~domains c ->
+                Sched.Service.run_audited ~domains c)
+              ~run:(fun ~domains c -> Sched.Service.run ~domains c)
+              ~render:Sched.Service.render
+              ~seed:(fun c ->
+                { c with Sched.Service.seed = c.Sched.Service.seed + 1 })
+              ~epoch:(fun c ->
+                {
+                  c with
+                  Sched.Service.epoch_s = c.Sched.Service.epoch_s *. 2.0;
+                })
+              serve
+        | Scheduler -> if wants_det then [ sched_base; sched_seed ] else [])
       scenarios
   in
   let outs = Parallel.Pool.map_list ?jobs (fun task -> task ()) tasks in
@@ -316,17 +230,10 @@ let run ?rules:ids ?(scenarios = all_scenarios) ?(domains = 4) ?jobs
                     }
             | _ -> []
           in
-          match scenario with
-          | Fleet ->
-              probe ~variant:"fleet:seed" ~vlabel:"seed+1"
-              @ probe ~variant:"fleet:epoch" ~vlabel:"epoch*2"
-          | Cluster ->
-              probe ~variant:"cluster:seed" ~vlabel:"seed+1"
-              @ probe ~variant:"cluster:epoch" ~vlabel:"epoch*2"
-          | Serve ->
-              probe ~variant:"serve:seed" ~vlabel:"seed+1"
-              @ probe ~variant:"serve:epoch" ~vlabel:"epoch*2"
-          | Scheduler -> probe ~variant:"scheduler:seed" ~vlabel:"seed+1")
+          probe ~variant:(name ^ ":seed") ~vlabel:"seed+1"
+          @
+          if scenario = Scheduler then []
+          else probe ~variant:(name ^ ":epoch") ~vlabel:"epoch*2")
         scenarios
   in
   List.filter (selected ids) (List.concat_map fst outs @ sensitivity)

@@ -27,7 +27,7 @@ val run :
   ?scenarios:scenario list ->
   ?domains:int ->
   ?jobs:int ->
-  ?fleet:Sched.Fleet.config ->
+  ?fleet:Sched.Cluster.config ->
   ?cluster:Sched.Cluster.config ->
   ?serve:Sched.Service.config ->
   unit ->

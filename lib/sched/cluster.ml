@@ -1,11 +1,16 @@
-(* Global cluster scheduling over a `Machine.Topology`: policies that
-   choose *which node* as well as *which ISA*, at warehouse scale.
+(* The island-scheduler core: jobs placed over a `Machine.Topology` by
+   policies that choose *which node* as well as *which ISA*, at
+   warehouse scale — the "Instruction Set Migration at Warehouse Scale"
+   scenario the paper's two-node evaluation cannot express.
 
    The paper's scheduling study (Section 6) and `Sched.Scheduler` pick
-   between exactly two machines; `Sched.Fleet` scales the node count but
-   keeps one placement heuristic. This layer runs the fleet machinery
-   under genuinely global policies:
+   between exactly two machines. This core runs a fleet of racks under
+   five placement policies:
 
+     - [Least_loaded] / [Round_robin]: the fleet placements — the node
+       with the lowest per-core load after placement, or the next node
+       in turn — each followed every epoch by a hi->lo rebalance: the
+       most-loaded node sends one job to the least-loaded one.
      - [Pack_power_cap]: power-capped bin packing. Jobs are packed onto
        the fewest, fullest nodes whose projected cluster power stays
        under a global cap — admission blocks rather than busting the
@@ -20,26 +25,45 @@
        nodes stealing queued work from the most-loaded victim, nearest
        rack first — migration cost makes in-rack theft strictly better.
 
-   Runtime shape is the fleet's: island 0 is the scheduler at the
-   cluster head, islands 1..N the topology's nodes, all control traffic
-   batched per [epoch_s] and carried over its path through the rack
-   fabric, so the per-edge minimum delay (epoch + path latency) is the
-   runtime's topology-aware lookahead matrix. Every node island owns
-   its state outright; the scheduler owns the queue and its estimates.
-   The report is a pure function of the config: domain count never
-   changes a byte. *)
+   Runtime: island 0 is the scheduler at the cluster head (beside rack
+   0's ToR); islands 1..N are the topology's nodes. All control traffic
+   is batched on epoch boundaries — the scheduler dispatches, nodes
+   report completions, and migration commands travel, once per
+   [epoch_s] — and every message additionally crosses its path through
+   the rack fabric, so the minimum delay on edge (s, d) is the epoch
+   plus that path's latency. That per-edge floor is handed to the
+   runtime as a topology-aware lookahead matrix: posts are checked
+   against their own edge, and the synchronization window advances by
+   the matrix minimum (>= the epoch), keeping the conservative argument
+   intact while cross-rack edges admit wider windows.
 
-type policy = Pack_power_cap | Edp_migrate | Work_steal
+   Every node island owns its state outright: running set, busy-core
+   count, energy integral, and the PRNG stream for phase-locality
+   sampling and failure draws. The scheduler island owns the queue and
+   per-node load *estimates*, updated only by messages. Nothing is
+   shared, which is exactly the contract that lets one run span domains
+   while staying bit-identical to the sequential schedule. *)
+
+type policy =
+  | Pack_power_cap
+  | Edp_migrate
+  | Work_steal
+  | Least_loaded
+  | Round_robin
 
 let policy_name = function
   | Pack_power_cap -> "pack-power-cap"
   | Edp_migrate -> "edp-migrate"
   | Work_steal -> "work-steal"
+  | Least_loaded -> "least-loaded"
+  | Round_robin -> "round-robin"
 
 let policy_of_name = function
   | "pack-power-cap" | "pack" -> Some Pack_power_cap
   | "edp-migrate" | "edp" -> Some Edp_migrate
   | "work-steal" | "steal" -> Some Work_steal
+  | "least-loaded" | "ll" -> Some Least_loaded
+  | "round-robin" | "rr" -> Some Round_robin
   | _ -> None
 
 let all_policies = [ Pack_power_cap; Edp_migrate; Work_steal ]
@@ -54,6 +78,8 @@ type config = {
   power_cap_w : float;
       (** [Pack_power_cap]: projected cluster power admission budget *)
   quantum_instructions : float;
+  migration : bool;  (** per-epoch rebalance, whatever the policy *)
+  fail_rate : float;  (** per-phase failure probability; failed phases retry *)
 }
 
 let default ~topology ~jobs ~seed =
@@ -71,10 +97,28 @@ let default ~topology ~jobs ~seed =
     power_cap_w =
       0.75 *. 110.0 *. float_of_int (Machine.Topology.nodes topology);
     quantum_instructions = 1e8;
+    migration = true;
+    fail_rate = 0.0;
+  }
+
+(* One rack whose local link is the paper's 10GbE interconnect: every
+   distinct pair sees the original point-to-point cost model. *)
+let fleet ~nodes ~jobs ~seed =
+  {
+    (default
+       ~topology:
+         (Machine.Topology.flat ~nodes
+            ~interconnect:Machine.Interconnect.ethernet_10g ())
+       ~jobs ~seed)
+    with
+    mean_interarrival_s = 0.5;
+    policy = Least_loaded;
   }
 
 type result = {
   completed : int;
+  failed : int;
+  retried_phases : int;
   migrations : int;
   steals : int;
   deferred : int;  (** admissions blocked at least once by the power cap *)
@@ -90,7 +134,7 @@ type result = {
   windows : int;
 }
 
-(* --- job mix: the fleet's pool, ISA-affinity visible ------------------- *)
+(* --- job mix ------------------------------------------------------------- *)
 
 let job_pool =
   let open Workload.Spec in
@@ -129,8 +173,11 @@ let make_job cfg rng jid arrival =
 type running = {
   job : job;
   mutable remaining : int;
-  mutable cold : bool;
-  mutable src_node : int;  (** -1 = the head's job store *)
+  mutable cold : bool;  (** working set not yet resident: next phase faults *)
+  mutable src_node : int;
+      (** where a cold set streams from: -1 = the head's job store,
+          else the node the job migrated away from *)
+  mutable phase_retries : int;
   mutable pending_dst : int;  (** -1 = none; else move there at boundary *)
   mutable pending_steal : bool;  (** the pending move is a theft *)
 }
@@ -144,6 +191,7 @@ type node_state = {
   mutable running : running list;
   mutable migrations_out : int;
   mutable steals_in : int;
+  mutable retried : int;
 }
 
 type sched_state = {
@@ -152,7 +200,8 @@ type sched_state = {
   cores : int array;
   mutable outstanding : int;
   mutable rr : int;
-  mutable completions : (int * float) list;
+  mutable completions : (int * float) list;  (** (jid, latency), report order *)
+  mutable failed : int;
   mutable deferred : int;
   mutable peak_power_w : float;
 }
@@ -173,19 +222,64 @@ let adjust_busy ns ~now delta =
   settle ns ~now;
   ns.busy <- ns.busy + delta
 
+(* Remote page fault served by the hDSM protocol: handler software on
+   top of a round trip over the given path, as in `Dsm.Hdsm`. Warm
+   misses hit the nearest replica (one local hop); cold working sets
+   stream from wherever the job last lived — the head's job store on
+   first placement, the previous host after a migration — so fault cost
+   is path-dependent. *)
 let fault_handler_s = 50e-6
 
 let fault_cost_over link =
   fault_handler_s
   +. Machine.Topology.page_transfer_time_link link ~page_bytes:Memsys.Page.size
 
+(* Pages a phase touches; kept small — locality within a quantum — but
+   a cold (just-placed or just-migrated) working set faults on all of
+   them. *)
 let phase_pages = 16
+
+let max_phase_retries = 3
 
 (* Throughput-per-watt of a machine for a workload category at full
    tilt: the ISA-affinity score both energy-aware policies rank by. *)
 let efficiency (m : Machine.Server.t) cat =
   Machine.Server.peak_mips m cat
   /. Machine.Power.system_power m.Machine.Server.power ~utilization:1.0
+
+(* Projected cluster power from per-node thread loads, with [extra]
+   threads placed on node [on]: the bin-packing budget. *)
+let projected_power (servers : Machine.Server.t array) load ~on ~extra =
+  let total = ref 0.0 in
+  for n = 0 to Array.length servers - 1 do
+    let m = servers.(n) in
+    let load = load.(n) + if n = on then extra else 0 in
+    let u =
+      Float.min 1.0 (float_of_int load /. float_of_int m.Machine.Server.cores)
+    in
+    total :=
+      !total +. Machine.Power.system_power m.Machine.Server.power ~utilization:u
+  done;
+  !total
+
+(* The lowest cap under which every job is eventually admitted: the
+   idle cluster plus the cheapest placement of the widest job. Below it
+   a wide job at the head of the queue blocks admission forever. *)
+let power_floor topology =
+  let servers =
+    Array.init (Machine.Topology.nodes topology)
+      (Machine.Topology.server topology)
+  in
+  let idle = Array.make (Array.length servers) 0 in
+  let widest = Array.fold_left max 0 thread_counts in
+  let floor = ref Float.infinity in
+  Array.iteri
+    (fun on (m : Machine.Server.t) ->
+      if widest <= 2 * m.Machine.Server.cores then
+        floor :=
+          Float.min !floor (projected_power servers idle ~on ~extra:widest))
+    servers;
+  !floor
 
 (* --- the simulation ---------------------------------------------------- *)
 
@@ -197,7 +291,19 @@ let run_impl ?(domains = 1) ~capture cfg =
     invalid_arg "Cluster.run: epoch must be positive";
   if not (Float.is_finite cfg.power_cap_w) || cfg.power_cap_w <= 0.0 then
     invalid_arg "Cluster.run: power cap must be positive";
+  (if cfg.policy = Pack_power_cap then
+     let floor = power_floor cfg.topology in
+     if cfg.power_cap_w < floor then
+       invalid_arg
+         (Printf.sprintf
+            "Cluster.run: power cap %gW is below the admission floor %gW"
+            cfg.power_cap_w floor));
   let topo = cfg.topology in
+  (* Per-edge control delays: a message from/to the scheduler (island 0)
+     crosses the head path to its node; node-to-node traffic crosses the
+     rack fabric. Each is the batching epoch plus the path latency, and
+     the same values form the runtime's topology-aware lookahead
+     matrix — posts below their edge's floor are runtime errors. *)
   let ctrl_delay =
     Array.init n_nodes (fun i ->
         cfg.epoch_s
@@ -219,8 +325,10 @@ let run_impl ?(domains = 1) ~capture cfg =
     Sim.Islands.create ~capture ~edge_lookahead ~islands:(n_nodes + 1)
       ~lookahead:cfg.epoch_s ~seed:cfg.seed ()
   in
-  (* Ownership map for the island-race audit, the fleet's: scheduler
-     island 0 owns resource 0; node island i+1 owns resource i+1. *)
+  (* Ownership tags for the island race audit: the scheduler island (0)
+     owns the queue and load estimates (resource 0); node island i+1
+     owns node i's mutable state (resource i+1). Guarded by a local
+     immutable bool so plain runs pay nothing. *)
   let audit = capture in
   let touch_sched isl =
     if audit then Sim.Islands.touch isl ~owner:0 ~resource:0 ~write:true
@@ -241,8 +349,10 @@ let run_impl ?(domains = 1) ~capture cfg =
           running = [];
           migrations_out = 0;
           steals_in = 0;
+          retried = 0;
         })
   in
+  let servers = Array.map (fun ns -> ns.machine) nodes in
   let sched =
     {
       queue = Queue.create ();
@@ -251,6 +361,7 @@ let run_impl ?(domains = 1) ~capture cfg =
       outstanding = cfg.jobs;
       rr = 0;
       completions = [];
+      failed = 0;
       deferred = 0;
       peak_power_w = 0.0;
     }
@@ -263,6 +374,8 @@ let run_impl ?(domains = 1) ~capture cfg =
       fault_cost_over
         (Machine.Topology.path topo ~src:r.src_node ~dst:ns.node_id)
   in
+  (* Job arrivals: drawn up-front from the run seed (independent of any
+     island stream), Poisson-spaced. *)
   let arrivals =
     let rng = Sim.Prng.create cfg.seed in
     let t = ref 0.0 in
@@ -273,6 +386,24 @@ let run_impl ?(domains = 1) ~capture cfg =
   in
 
   (* --- node islands (island id = node_id + 1) -------------------------- *)
+  let detach ns (r : running) ~now =
+    adjust_busy ns ~now (-r.job.threads);
+    ns.running <- List.filter (fun x -> x != r) ns.running
+  in
+  (* The job leaves the cluster, completed or failed; the scheduler
+     hears at the next epoch. *)
+  let finish ns (r : running) isl ~now ~completed =
+    detach ns r ~now;
+    let latency = now -. r.job.arrival in
+    Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id) (fun isl ->
+        touch_sched isl;
+        sched.outstanding <- sched.outstanding - 1;
+        sched.est_load.(ns.node_id) <-
+          sched.est_load.(ns.node_id) - r.job.threads;
+        if completed then
+          sched.completions <- (r.job.jid, latency) :: sched.completions
+        else sched.failed <- sched.failed + 1)
+  in
   let rec run_phase (r : running) ns isl =
     touch_node isl ns;
     let now = Sim.Islands.now isl in
@@ -285,6 +416,10 @@ let run_impl ?(domains = 1) ~capture cfg =
       Float.max 1.0
         (float_of_int ns.busy /. float_of_int m.Machine.Server.cores)
     in
+    (* Phase-locality sampling from the island's private stream: a cold
+       working set faults on every page of the phase window; a warm one
+       occasionally takes a small burst of misses (cross-job
+       interference, page stealing). *)
     let misses, miss_cost =
       if r.cold then (phase_pages, cold_fault_cost r ns)
       else begin
@@ -303,48 +438,60 @@ let run_impl ?(domains = 1) ~capture cfg =
   and phase_done (r : running) ns isl =
     touch_node isl ns;
     let now = Sim.Islands.now isl in
-    r.remaining <- r.remaining - 1;
-    if r.remaining = 0 then begin
-      adjust_busy ns ~now (-r.job.threads);
-      ns.running <- List.filter (fun x -> x != r) ns.running;
-      let latency = now -. r.job.arrival in
-      Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id) (fun isl ->
-          touch_sched isl;
-          sched.outstanding <- sched.outstanding - 1;
-          sched.est_load.(ns.node_id) <-
-            sched.est_load.(ns.node_id) - r.job.threads;
-          sched.completions <- (r.job.jid, latency) :: sched.completions)
+    (* Failure draw only when the config can fail: a zero fail rate
+       draws nothing, so it is byte-identical to a core without failure
+       machinery. *)
+    if
+      cfg.fail_rate > 0.0
+      && Sim.Prng.float (Sim.Islands.prng isl) 1.0 < cfg.fail_rate
+    then begin
+      if r.phase_retries >= max_phase_retries then
+        finish ns r isl ~now ~completed:false
+      else begin
+        r.phase_retries <- r.phase_retries + 1;
+        ns.retried <- ns.retried + 1;
+        run_phase r ns isl
+      end
     end
-    else if r.pending_dst >= 0 then begin
-      (* Stop-and-copy to the commanded node over the rack fabric. *)
-      let dst = r.pending_dst in
-      let steal = r.pending_steal in
-      r.pending_dst <- -1;
-      r.pending_steal <- false;
-      adjust_busy ns ~now (-r.job.threads);
-      ns.running <- List.filter (fun x -> x != r) ns.running;
-      ns.migrations_out <- ns.migrations_out + 1;
-      let transform = 300e-6 *. float_of_int r.job.threads in
-      let pages =
-        Memsys.Page.count ~bytes:r.job.spec.Workload.Spec.footprint_bytes
-      in
-      let xfer =
-        Machine.Topology.batch_transfer_time topo ~src:ns.node_id ~dst ~pages
-          ~page_bytes:Memsys.Page.size
-      in
-      let pause = transform +. xfer in
-      r.cold <- true;
-      r.src_node <- ns.node_id;
-      Sim.Islands.post isl ~dst:(dst + 1)
-        ~after:(Float.max (node_delay ns.node_id dst) pause)
-        (fun isl -> job_land ~steal r isl);
-      Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id) (fun isl ->
-          touch_sched isl;
-          sched.est_load.(ns.node_id) <-
-            sched.est_load.(ns.node_id) - r.job.threads;
-          sched.est_load.(dst) <- sched.est_load.(dst) + r.job.threads)
+    else begin
+      r.phase_retries <- 0;
+      r.remaining <- r.remaining - 1;
+      if r.remaining = 0 then finish ns r isl ~now ~completed:true
+      else if r.pending_dst >= 0 then begin
+        (* Migration point: stop-and-copy to the commanded node. The
+           thread state transforms, then the working set crosses its
+           path through the rack fabric as one batched stream — a
+           cross-rack move pays the aggregation hop. *)
+        let dst = r.pending_dst in
+        let steal = r.pending_steal in
+        r.pending_dst <- -1;
+        r.pending_steal <- false;
+        detach ns r ~now;
+        ns.migrations_out <- ns.migrations_out + 1;
+        let transform = 300e-6 *. float_of_int r.job.threads in
+        let pages =
+          Memsys.Page.count ~bytes:r.job.spec.Workload.Spec.footprint_bytes
+        in
+        let xfer =
+          Machine.Topology.batch_transfer_time topo ~src:ns.node_id ~dst
+            ~pages ~page_bytes:Memsys.Page.size
+        in
+        let pause = transform +. xfer in
+        r.cold <- true;
+        r.src_node <- ns.node_id;
+        Sim.Islands.post isl ~dst:(dst + 1)
+          ~after:(Float.max (node_delay ns.node_id dst) pause)
+          (fun isl -> job_land ~steal r isl);
+        (* Keep the scheduler's placement estimates truthful. *)
+        Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id)
+          (fun isl ->
+            touch_sched isl;
+            sched.est_load.(ns.node_id) <-
+              sched.est_load.(ns.node_id) - r.job.threads;
+            sched.est_load.(dst) <- sched.est_load.(dst) + r.job.threads)
+      end
+      else run_phase r ns isl
     end
-    else run_phase r ns isl
 
   and job_land ~steal (r : running) isl =
     let ns = nodes.(Sim.Islands.id isl - 1) in
@@ -359,7 +506,7 @@ let run_impl ?(domains = 1) ~capture cfg =
     touch_node isl ns;
     let r =
       { job; remaining = job.n_phases; cold = true; src_node = -1;
-        pending_dst = -1; pending_steal = false }
+        phase_retries = 0; pending_dst = -1; pending_steal = false }
     in
     adjust_busy ns ~now:(Sim.Islands.now isl) job.threads;
     ns.running <- r :: ns.running;
@@ -397,80 +544,61 @@ let run_impl ?(domains = 1) ~capture cfg =
   let fits n (job : job) =
     sched.est_load.(n) + job.threads <= 2 * sched.cores.(n)
   in
-  (* Projected cluster power from the scheduler's load estimates, with
-     [extra] threads placed on node [on]: the bin-packing budget. *)
-  let projected_power ~on ~extra =
-    let total = ref 0.0 in
+  let load_after n (job : job) =
+    float_of_int (sched.est_load.(n) + job.threads)
+    /. float_of_int sched.cores.(n)
+  in
+  (* The fitting node with the highest [score], lowest index on ties. *)
+  let best_fit (job : job) score =
+    let best = ref (-1) in
+    let best_s = ref Float.neg_infinity in
     for n = 0 to n_nodes - 1 do
-      let load = sched.est_load.(n) + if n = on then extra else 0 in
-      let u =
-        Float.min 1.0 (float_of_int load /. float_of_int sched.cores.(n))
-      in
-      total :=
-        !total
-        +. Machine.Power.system_power
-             nodes.(n).machine.Machine.Server.power ~utilization:u
+      if fits n job then begin
+        let s = score n in
+        if s > !best_s then begin
+          best := n;
+          best_s := s
+        end
+      end
     done;
-    !total
+    if !best >= 0 then Some !best else None
   in
   let pick_node (job : job) =
     match cfg.policy with
+    | Least_loaded -> best_fit job (fun n -> -.load_after n job)
     | Pack_power_cap ->
       (* Best-fit packing: the fullest node (highest utilization after
          placement) that still fits and keeps the cluster under the
          power budget. Consolidation lets the rest of the fleet idle. *)
-      let best = ref (-1) in
-      let best_u = ref (-1.0) in
       let blocked = ref false in
-      for n = 0 to n_nodes - 1 do
-        if fits n job then begin
-          if projected_power ~on:n ~extra:job.threads <= cfg.power_cap_w
-          then begin
-            let u =
-              float_of_int (sched.est_load.(n) + job.threads)
-              /. float_of_int sched.cores.(n)
-            in
-            if u > !best_u then begin
-              best := n;
-              best_u := u
-            end
-          end
-          else blocked := true
-        end
-      done;
-      if !best < 0 && !blocked then sched.deferred <- sched.deferred + 1;
-      if !best >= 0 then begin
+      let best =
+        best_fit job (fun n ->
+            if
+              projected_power servers sched.est_load ~on:n ~extra:job.threads
+              <= cfg.power_cap_w
+            then load_after n job
+            else begin
+              blocked := true;
+              Float.neg_infinity
+            end)
+      in
+      (match best with
+      | Some n ->
         sched.peak_power_w <-
           Float.max sched.peak_power_w
-            (projected_power ~on:!best ~extra:job.threads);
-        Some !best
-      end
-      else None
+            (projected_power servers sched.est_load ~on:n ~extra:job.threads)
+      | None -> if !blocked then sched.deferred <- sched.deferred + 1);
+      best
     | Edp_migrate ->
       (* ISA-affinity placement: throughput per watt for the job's
          category, discounted by load — so a busy efficient node loses
          to an idle slightly-less-efficient one. *)
-      let best = ref (-1) in
-      let best_s = ref Float.neg_infinity in
-      for n = 0 to n_nodes - 1 do
-        if fits n job then begin
-          let headroom =
-            1.0
-            -. (float_of_int sched.est_load.(n)
-               /. float_of_int (2 * sched.cores.(n)))
-          in
-          let s =
-            efficiency nodes.(n).machine job.spec.Workload.Spec.category
-            *. headroom
-          in
-          if s > !best_s then begin
-            best := n;
-            best_s := s
-          end
-        end
-      done;
-      if !best >= 0 then Some !best else None
-    | Work_steal ->
+      best_fit job (fun n ->
+          efficiency nodes.(n).machine job.spec.Workload.Spec.category
+          *. (1.0
+             -. (float_of_int sched.est_load.(n)
+                /. float_of_int (2 * sched.cores.(n)))))
+    | Round_robin | Work_steal ->
       let found = ref None in
       let tries = ref 0 in
       while !found = None && !tries < n_nodes do
@@ -481,23 +609,42 @@ let run_impl ?(domains = 1) ~capture cfg =
       done;
       !found
   in
+  let norm n =
+    float_of_int sched.est_load.(n) /. float_of_int sched.cores.(n)
+  in
+  let hottest () =
+    let hi = ref 0 in
+    for n = 1 to n_nodes - 1 do
+      if norm n > norm !hi then hi := n
+    done;
+    !hi
+  in
+  (* Command one migration per epoch, so the system settles between
+     moves. *)
+  let shed isl ~hi ~dst =
+    if dst >= 0 && norm hi -. norm dst >= 0.75 && sched.est_load.(hi) >= 2
+    then
+      Sim.Islands.post isl ~dst:(hi + 1) ~after:ctrl_delay.(hi)
+        (migrate_cmd ~dst)
+  in
   let rebalance isl =
     match cfg.policy with
+    | _ when not cfg.migration -> ()
     | Pack_power_cap -> ()  (* the cap is enforced at admission *)
-    | Edp_migrate ->
-      (* Worst-placed load moves to the best node with room. Estimates
-         rank by per-core efficiency-weighted pressure; command one
-         migration per epoch so the system settles between moves. *)
-      let norm n =
-        float_of_int sched.est_load.(n) /. float_of_int sched.cores.(n)
-      in
-      let hi = ref 0 and best = ref (-1) in
-      let best_s = ref Float.neg_infinity in
+    | Least_loaded | Round_robin ->
+      let lo = ref 0 in
       for n = 1 to n_nodes - 1 do
-        if norm n > norm !hi then hi := n
+        if norm n < norm !lo then lo := n
       done;
+      shed isl ~hi:(hottest ()) ~dst:!lo
+    | Edp_migrate ->
+      (* Worst-placed load moves to the best node with room, ranked by
+         per-core efficiency-weighted pressure. *)
+      let hi = hottest () in
+      let best = ref (-1) in
+      let best_s = ref Float.neg_infinity in
       for n = 0 to n_nodes - 1 do
-        if n <> !hi && sched.est_load.(n) + 1 <= 2 * sched.cores.(n) then begin
+        if n <> hi && sched.est_load.(n) + 1 <= 2 * sched.cores.(n) then begin
           let s =
             efficiency nodes.(n).machine Isa.Cost_model.Mixed
             *. (1.0 -. (norm n /. 2.0))
@@ -508,11 +655,7 @@ let run_impl ?(domains = 1) ~capture cfg =
           end
         end
       done;
-      if !best >= 0 && norm !hi -. norm !best >= 0.75
-         && sched.est_load.(!hi) >= 2
-      then
-        Sim.Islands.post isl ~dst:(!hi + 1) ~after:ctrl_delay.(!hi)
-          (migrate_cmd ~dst:!best)
+      shed isl ~hi ~dst:!best
     | Work_steal ->
       (* Every idle node steals from the most-loaded victim, in-rack
          victims first: the aggregation hop makes remote theft dearer
@@ -543,6 +686,8 @@ let run_impl ?(domains = 1) ~capture cfg =
   in
   let rec tick isl =
     touch_sched isl;
+    (* Dispatch the epoch's batch in FIFO order; the head blocks when no
+       node has room under the policy's admission rule. *)
     let dispatching = ref true in
     while !dispatching && not (Queue.is_empty sched.queue) do
       let job = Queue.peek sched.queue in
@@ -578,6 +723,8 @@ let run_impl ?(domains = 1) ~capture cfg =
       (fun acc (jid, lat) -> Float.max acc (arrival_of.(jid) +. lat))
       0.0 completions
   in
+  (* Idle-settle every node out to the makespan so energy covers the same
+     interval on every node, in node order. *)
   Array.iter
     (fun ns -> if ns.last_update < makespan then settle ns ~now:makespan)
     nodes;
@@ -599,11 +746,13 @@ let run_impl ?(domains = 1) ~capture cfg =
   let quant q =
     if Array.length latencies = 0 then 0.0 else Sim.Stats.quantile latencies q
   in
+  let sum f = Array.fold_left (fun acc ns -> acc + f ns) 0 nodes in
   {
     completed = List.length completions;
-    migrations =
-      Array.fold_left (fun acc ns -> acc + ns.migrations_out) 0 nodes;
-    steals = Array.fold_left (fun acc ns -> acc + ns.steals_in) 0 nodes;
+    failed = sched.failed;
+    retried_phases = sum (fun ns -> ns.retried);
+    migrations = sum (fun ns -> ns.migrations_out);
+    steals = sum (fun ns -> ns.steals_in);
     deferred = sched.deferred;
     makespan;
     total_energy_j = total_energy;
@@ -628,15 +777,35 @@ let run_audited ?domains cfg =
 
 (* Byte-stable rendering: pure function of the deterministic simulation
    — no wall-clock, no domain count — so `--seq` and `--islands N`
-   outputs diff clean. *)
+   outputs diff clean. The fleet placements keep the fleet report. *)
 let render cfg r =
   let b = Buffer.create 512 in
-  Printf.bprintf b
-    "cluster: policy=%s jobs=%d seed=%d epoch=%.3fs power-cap=%.0fW\n"
-    (policy_name cfg.policy) cfg.jobs cfg.seed cfg.epoch_s cfg.power_cap_w;
+  let fleet =
+    match cfg.policy with
+    | Least_loaded | Round_robin -> true
+    | Pack_power_cap | Edp_migrate | Work_steal -> false
+  in
+  if fleet then
+    Printf.bprintf b
+      "fleet: nodes=%d (x86=%d arm64=%d) jobs=%d seed=%d epoch=%.3fs \
+       placement=%s migration=%s fail-rate=%.3f\n"
+      (Machine.Topology.nodes cfg.topology)
+      (Machine.Topology.isa_count cfg.topology Isa.Arch.X86_64)
+      (Machine.Topology.isa_count cfg.topology Isa.Arch.Arm64)
+      cfg.jobs cfg.seed cfg.epoch_s (policy_name cfg.policy)
+      (if cfg.migration then "on" else "off")
+      cfg.fail_rate
+  else
+    Printf.bprintf b
+      "cluster: policy=%s jobs=%d seed=%d epoch=%.3fs power-cap=%.0fW\n"
+      (policy_name cfg.policy) cfg.jobs cfg.seed cfg.epoch_s cfg.power_cap_w;
   Printf.bprintf b "topology: %s\n" (Machine.Topology.describe cfg.topology);
-  Printf.bprintf b "completed=%d migrations=%d steals=%d deferred=%d\n"
-    r.completed r.migrations r.steals r.deferred;
+  if fleet then
+    Printf.bprintf b "completed=%d failed=%d retried-phases=%d migrations=%d\n"
+      r.completed r.failed r.retried_phases r.migrations
+  else
+    Printf.bprintf b "completed=%d migrations=%d steals=%d deferred=%d\n"
+      r.completed r.migrations r.steals r.deferred;
   Printf.bprintf b
     "makespan=%.6fs energy=%.3fkJ (x86 %.3fkJ arm64 %.3fkJ) edp=%.6ekJs\n"
     r.makespan

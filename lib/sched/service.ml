@@ -1,7 +1,7 @@
 (* Open-loop request serving with latency SLOs on the time-island
    runtime.
 
-   Topology mirrors `Fleet`: island 0 is the router/controller, islands
+   Topology mirrors `Cluster`'s: island 0 is the router/controller, islands
    1..N are nodes alternating x86 (Xeon) and arm64 (X-Gene) servers.
    Long-lived service instances are pinned to nodes; requests arrive
    open-loop from a streaming `Arrival.source` (they keep coming whether

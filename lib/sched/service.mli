@@ -11,7 +11,7 @@
 
     Runs execute on the {!Sim.Islands} runtime (island 0 routes and
     decides; islands 1..N are nodes alternating Xeon/X-Gene, as in
-    {!Fleet}) with the routing epoch as the conservative lookahead, so
+    {!Cluster}) with the routing epoch as the conservative lookahead, so
     [run ~domains:n] is bit-identical to [run ~domains:1].
 
     The request hot path is allocation-light by design: arrivals stream

@@ -81,3 +81,15 @@ let topology ~nodes ~racks ~mix_name =
            ~interconnect:Machine.Interconnect.ethernet_10g ())
     else
       Ok (Machine.Topology.make ~mix ~racks ~nodes_per_rack:(nodes / racks) ())
+
+(* [--power-cap W] for pack-power-cap: below the admission floor the
+   widest job never fits, even on an idle cluster, and the run would
+   block forever. *)
+let power_cap ~topology w =
+  let floor = Cluster.power_floor topology in
+  if w >= floor then Ok w
+  else
+    errf
+      "--power-cap %g is below the admission floor %gW (the idle cluster \
+       plus the cheapest placement of the widest job)"
+      w floor

@@ -31,3 +31,7 @@ val topology :
     the paper's 10GbE point-to-point interconnect; more racks use the
     datacenter-grade ToR/aggregation defaults. [nodes] must divide
     evenly into [racks]. *)
+
+val power_cap : topology:Machine.Topology.t -> float -> (float, string) result
+(** A [pack-power-cap] budget must reach {!Cluster.power_floor}:
+    below it the widest job is never admitted and the run never ends. *)

@@ -11,7 +11,8 @@ type t = {
   mutable next_seq : int;
 }
 
-let create () = { cal = Calendar.create ~dummy:ignore (); clock = 0.0; next_seq = 0 }
+let create () =
+  { cal = Calendar.create ~dummy:ignore (); clock = 0.0; next_seq = 0 }
 
 let now t = t.clock
 let pending t = Calendar.size t.cal

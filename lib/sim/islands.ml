@@ -289,7 +289,7 @@ let post isl ~dst ~after act =
     isl.next_seq <- isl.next_seq + 1
   end
 
-(* Ownership observer hook for the audit layer: models (Sched.Fleet,
+(* Ownership observer hook for the audit layer: models (Sched.Cluster,
    Sched.Service) tag touches of island-owned mutable state with the
    owning island and a resource id. Touches are attached to the event
    being executed, in program order; outside a capture this is one

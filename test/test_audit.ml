@@ -331,7 +331,7 @@ let seed_sensitivity () =
 
 (* --- clean corpus: real captured runs certify clean --------------------- *)
 
-let small_fleet = Sched.Fleet.default ~nodes:8 ~jobs:60 ~seed:42
+let small_fleet = Sched.Cluster.fleet ~nodes:8 ~jobs:60 ~seed:42
 
 let small_cluster =
   Sched.Cluster.default
@@ -348,7 +348,7 @@ let small_serve ?(crashes = []) () =
   }
 
 let fleet_capture_is_clean () =
-  let _, cap = Sched.Fleet.run_audited ~domains:2 small_fleet in
+  let _, cap = Sched.Cluster.run_audited ~domains:2 small_fleet in
   let ds = verify cap in
   checki "fleet capture certifies clean" 0 (List.length ds);
   checkb "and is not vacuously empty" true
@@ -381,10 +381,12 @@ let crashy_serve_capture_is_clean () =
 let audited_run_matches_plain () =
   (* Capture is pure observation: the audited run's render must be
      byte-identical to the plain run's. *)
-  let plain = Sched.Fleet.render small_fleet (Sched.Fleet.run ~domains:1 small_fleet) in
-  let r, _ = Sched.Fleet.run_audited ~domains:1 small_fleet in
+  let plain =
+    Sched.Cluster.render small_fleet (Sched.Cluster.run ~domains:1 small_fleet)
+  in
+  let r, _ = Sched.Cluster.run_audited ~domains:1 small_fleet in
   checks "capture does not perturb the schedule" plain
-    (Sched.Fleet.render small_fleet r)
+    (Sched.Cluster.render small_fleet r)
 
 (* --- the audit driver ---------------------------------------------------- *)
 

@@ -1,5 +1,5 @@
 (* The parallel event core: keyed calendars, the time-island runtime,
-   and the fleet scenario built on it. The load-bearing property
+   and the cluster core built on it. The load-bearing property
    throughout is determinism — the (time, seq, src) total order makes a
    run a pure function of its configuration, never of the domain
    count. *)
@@ -280,45 +280,63 @@ let islands_edge_seq_equals_parallel () =
     (Sim.Islands.log a = Sim.Islands.log b);
   checki "same windows" (Sim.Islands.windows a) (Sim.Islands.windows b)
 
-(* --- Fleet: the end-to-end consumer ------------------------------------ *)
+(* --- Cluster: the island-scheduler core, end to end --------------------- *)
 
 let fleet_render_stable () =
-  let cfg = Sched.Fleet.default ~nodes:4 ~jobs:15 ~seed:21 in
-  let a = Sched.Fleet.run ~domains:1 cfg in
-  let b = Sched.Fleet.run ~domains:3 cfg in
+  let cfg = Sched.Cluster.fleet ~nodes:4 ~jobs:15 ~seed:21 in
+  let a = Sched.Cluster.run ~domains:1 cfg in
+  let b = Sched.Cluster.run ~domains:3 cfg in
   check Alcotest.string "render byte-identical across domain counts"
-    (Sched.Fleet.render cfg a) (Sched.Fleet.render cfg b);
+    (Sched.Cluster.render cfg a) (Sched.Cluster.render cfg b);
   checki "all jobs accounted" 15
-    (a.Sched.Fleet.completed + a.Sched.Fleet.failed);
-  checkb "positive makespan" true (a.Sched.Fleet.makespan > 0.0);
+    (a.Sched.Cluster.completed + a.Sched.Cluster.failed);
+  checkb "positive makespan" true (a.Sched.Cluster.makespan > 0.0);
   checkb "both ISAs burned energy" true
-    (a.Sched.Fleet.energy_x86_j > 0.0 && a.Sched.Fleet.energy_arm_j > 0.0)
+    (a.Sched.Cluster.energy_x86_j > 0.0 && a.Sched.Cluster.energy_arm_j > 0.0)
 
-let qcheck_fleet_deterministic =
+let qcheck_cluster_deterministic =
   QCheck.Test.make
-    ~name:"fleet report independent of domain count (seeds x faults x policy)"
-    ~count:8
-    QCheck.(int_bound 10_000)
+    ~name:
+      "cluster report independent of domain count, every job completes or \
+       fails (seeds x policy x fail rate x migration x topology)"
+    ~count:16
+    QCheck.(int_bound 100_000)
     (fun raw ->
-      let seed = raw mod 1000 in
-      let fail_rate = if raw mod 2 = 0 then 0.0 else 0.05 in
-      let placement =
-        if raw mod 4 < 2 then Sched.Fleet.Least_loaded
-        else Sched.Fleet.Round_robin
+      let pick l k = List.nth l (k mod List.length l) in
+      let policy =
+        pick
+          Sched.Cluster.
+            [ Pack_power_cap; Edp_migrate; Work_steal; Least_loaded;
+              Round_robin ]
+          raw
       in
-      let migration = raw mod 3 <> 0 in
+      let fail_rate = pick [ 0.0; 0.05; 0.3 ] (raw / 5) in
+      let migration = raw / 15 mod 2 = 0 in
+      let mix =
+        pick Machine.Topology.[ Alternate; Isa_racks ] (raw / 30)
+      in
+      let topology =
+        match raw / 60 mod 5 with
+        | 0 ->
+          Machine.Topology.flat ~nodes:3
+            ~interconnect:Machine.Interconnect.ethernet_10g ()
+        | shape ->
+          let racks, nodes_per_rack =
+            pick [ (1, 6); (2, 4); (3, 4); (4, 2) ] shape
+          in
+          Machine.Topology.make ~mix ~racks ~nodes_per_rack ()
+      in
       let cfg =
-        { (Sched.Fleet.default ~nodes:3 ~jobs:8 ~seed) with
-          Sched.Fleet.fail_rate;
-          placement;
+        { (Sched.Cluster.default ~topology ~jobs:40 ~seed:(raw mod 1000)) with
+          Sched.Cluster.policy;
+          fail_rate;
           migration;
         }
       in
-      let a = Sched.Fleet.run ~domains:1 cfg in
-      let b = Sched.Fleet.run ~domains:2 cfg in
-      Sched.Fleet.render cfg a = Sched.Fleet.render cfg b)
-
-(* --- Cluster: warehouse scale on the island runtime ---------------------- *)
+      let a = Sched.Cluster.run ~domains:1 cfg in
+      let b = Sched.Cluster.run ~domains:2 cfg in
+      Sched.Cluster.render cfg a = Sched.Cluster.render cfg b
+      && a.Sched.Cluster.completed + a.Sched.Cluster.failed = 40)
 
 (* The acceptance scenario: 256 mixed-ISA nodes in 8 racks, run
    sequentially and across 8 domains, byte-identical reports. *)
@@ -335,34 +353,26 @@ let cluster_256_nodes_byte_identical () =
   checkb "both ISAs burned energy" true
     (a.Sched.Cluster.energy_x86_j > 0.0 && a.Sched.Cluster.energy_arm_j > 0.0)
 
-let qcheck_cluster_deterministic =
-  QCheck.Test.make
-    ~name:"cluster report independent of domain count (seeds x topology x policy)"
-    ~count:8
-    QCheck.(int_bound 10_000)
-    (fun raw ->
-      let seed = raw mod 1000 in
-      let policy =
-        match raw mod 3 with
-        | 0 -> Sched.Cluster.Pack_power_cap
-        | 1 -> Sched.Cluster.Edp_migrate
-        | _ -> Sched.Cluster.Work_steal
-      in
-      let racks, nodes_per_rack =
-        match raw mod 4 with 0 -> (1, 6) | 1 -> (2, 4) | 2 -> (3, 4) | _ -> (4, 2)
-      in
-      let mix =
-        if raw mod 2 = 0 then Machine.Topology.Alternate
-        else Machine.Topology.Isa_racks
-      in
-      let topo = Machine.Topology.make ~mix ~racks ~nodes_per_rack () in
-      let cfg =
-        { (Sched.Cluster.default ~topology:topo ~jobs:40 ~seed) with
-          Sched.Cluster.policy }
-      in
-      let a = Sched.Cluster.run ~domains:1 cfg in
-      let b = Sched.Cluster.run ~domains:2 cfg in
-      Sched.Cluster.render cfg a = Sched.Cluster.render cfg b)
+(* Below the admission floor the widest job never fits, so the run
+   would re-arm its epoch tick forever; it must refuse to start. At the
+   floor it completes. *)
+let cluster_power_cap_floor () =
+  let topology = Machine.Topology.make ~racks:1 ~nodes_per_rack:4 () in
+  let floor = Sched.Cluster.power_floor topology in
+  let cfg w =
+    { (Sched.Cluster.default ~topology ~jobs:40 ~seed:42) with
+      Sched.Cluster.policy = Sched.Cluster.Pack_power_cap;
+      power_cap_w = w;
+    }
+  in
+  Alcotest.check_raises "cap below the floor rejected"
+    (Invalid_argument
+       (Printf.sprintf
+          "Cluster.run: power cap %gW is below the admission floor %gW" 190.0
+          floor))
+    (fun () -> ignore (Sched.Cluster.run (cfg 190.0)));
+  checki "at the floor every job completes" 40
+    (Sched.Cluster.run (cfg floor)).Sched.Cluster.completed
 
 (* --- Popcorn-ensemble scheduler on the island runtime -------------------- *)
 
@@ -434,12 +444,13 @@ let suite =
       islands_edge_seq_equals_parallel;
     Alcotest.test_case "fleet: render stable across domains" `Quick
       fleet_render_stable;
-    QCheck_alcotest.to_alcotest qcheck_fleet_deterministic;
+    QCheck_alcotest.to_alcotest qcheck_cluster_deterministic;
     Alcotest.test_case "cluster: 256 nodes byte-identical" `Slow
       cluster_256_nodes_byte_identical;
-    QCheck_alcotest.to_alcotest qcheck_cluster_deterministic;
     Alcotest.test_case "scheduler: fig12-scale run on islands" `Quick
       scheduler_on_islands_byte_identical;
     Alcotest.test_case "workload: phase expansion memoized" `Quick
       phase_memo_shares;
+    Alcotest.test_case "cluster: power cap below the admission floor" `Quick
+      cluster_power_cap_floor;
   ]

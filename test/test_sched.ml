@@ -147,6 +147,24 @@ let validate_topology () =
   | Ok t -> checki "racked topology built" 2 (Machine.Topology.racks t)
   | Error e -> Alcotest.fail e
 
+(* Four alternating nodes idle at 176W and a 4-thread job adds at least
+   15W anywhere, so pack-power-cap can admit it only from 191W up; below
+   that the run used to re-arm its epoch tick forever. *)
+let validate_power_cap () =
+  let module V = Sched.Validate in
+  let topology =
+    match V.topology ~nodes:4 ~racks:1 ~mix_name:"alternate" with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.check Alcotest.string "names the flag, the value and the floor"
+    "--power-cap 190 is below the admission floor 191W (the idle cluster \
+     plus the cheapest placement of the widest job)"
+    (match V.power_cap ~topology 190.0 with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "expected Error");
+  checkb "191W admits every job" true (V.power_cap ~topology 191.0 = Ok 191.0)
+
 let small_jobs seed n = Sched.Arrival.sustained ~seed ~jobs:n
 
 let scheduler_completes_all_jobs () =
@@ -310,6 +328,8 @@ let suite =
     ("validate: flag messages", `Quick, validate_messages);
     ("validate: crash specs name the token", `Quick, validate_crash_specs);
     ("validate: topology knobs", `Quick, validate_topology);
+    ("validate: power cap below the admission floor", `Quick,
+     validate_power_cap);
     ("scheduler completes all jobs", `Slow, scheduler_completes_all_jobs);
     ("infeasible jobs counted as rejected", `Slow,
      infeasible_jobs_counted_as_rejected);
