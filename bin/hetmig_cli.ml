@@ -752,11 +752,11 @@ let cluster_cmd =
     let must v = validated ~cmd:"cluster" v in
     let policy =
       match Sched.Cluster.policy_of_name policy with
-      | Some p -> p
-      | None ->
+      | Some p when List.mem p Sched.Cluster.all_policies -> p
+      | _ ->
         Format.eprintf
           "hetmig cluster: unknown --policy %s (want pack-power-cap, \
-           edp-migrate, work-steal, least-loaded or round-robin)@."
+           edp-migrate or work-steal)@."
           policy;
         exit 2
     in
@@ -779,8 +779,7 @@ let cluster_cmd =
              ~doc:"Global policy: pack-power-cap (power-capped bin \
                    packing), edp-migrate (energy/EDP-aware placement and \
                    global dynamic migration) or work-steal (idle nodes \
-                   steal, in-rack victims first); least-loaded and \
-                   round-robin run the fleet placements.")
+                   steal, in-rack victims first).")
   in
   let power_cap =
     Arg.(value & opt (some float) None
