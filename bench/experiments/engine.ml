@@ -3,8 +3,8 @@
    runtime itself.
 
    Part 1 drains one million self-scheduling events through
-   {!Sim.Engine} — the freelist-pooled hot path every simulation run
-   sits on — and checks the count, clock monotonicity, and that the
+   {!Sim.Engine} — a one-island view over the pooled {!Sim.Calendar},
+   the hot path every simulation run sits on — and checks the count, clock monotonicity, and that the
    pool really recycles (heap capacity stays far below the event
    count). Host-time throughput is printed on excludable "host time"
    lines; the shape checks themselves are deterministic.
@@ -31,7 +31,7 @@ let part1 ppf =
   let last_time = ref (-1.0) in
   let monotone = ref true in
   (* 64 concurrent self-rescheduling chains: the heap stays small while
-     a million events flow through the freelist. *)
+     a million events flow through it. *)
   let rec step at () =
     incr executed;
     let now = Sim.Engine.now e in
