@@ -294,6 +294,32 @@ let fleet_render_stable () =
   checkb "both ISAs burned energy" true
     (a.Sched.Cluster.energy_x86_j > 0.0 && a.Sched.Cluster.energy_arm_j > 0.0)
 
+(* The fleet preset: its two placements, with and without faults and
+   rebalance, print the same fleet report at one and two domains. *)
+let qcheck_fleet_deterministic =
+  QCheck.Test.make
+    ~name:"fleet report independent of domain count (seeds x faults x policy)"
+    ~count:8
+    QCheck.(int_bound 10_000)
+    (fun raw ->
+      let seed = raw mod 1000 in
+      let fail_rate = if raw mod 2 = 0 then 0.0 else 0.05 in
+      let policy =
+        if raw mod 4 < 2 then Sched.Cluster.Least_loaded
+        else Sched.Cluster.Round_robin
+      in
+      let migration = raw mod 3 <> 0 in
+      let cfg =
+        { (Sched.Cluster.fleet ~nodes:3 ~jobs:8 ~seed) with
+          Sched.Cluster.fail_rate;
+          policy;
+          migration;
+        }
+      in
+      let a = Sched.Cluster.run ~domains:1 cfg in
+      let b = Sched.Cluster.run ~domains:2 cfg in
+      Sched.Cluster.render cfg a = Sched.Cluster.render cfg b)
+
 let qcheck_cluster_deterministic =
   QCheck.Test.make
     ~name:
@@ -444,9 +470,10 @@ let suite =
       islands_edge_seq_equals_parallel;
     Alcotest.test_case "fleet: render stable across domains" `Quick
       fleet_render_stable;
-    QCheck_alcotest.to_alcotest qcheck_cluster_deterministic;
+    QCheck_alcotest.to_alcotest qcheck_fleet_deterministic;
     Alcotest.test_case "cluster: 256 nodes byte-identical" `Slow
       cluster_256_nodes_byte_identical;
+    QCheck_alcotest.to_alcotest qcheck_cluster_deterministic;
     Alcotest.test_case "scheduler: fig12-scale run on islands" `Quick
       scheduler_on_islands_byte_identical;
     Alcotest.test_case "workload: phase expansion memoized" `Quick
