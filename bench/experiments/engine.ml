@@ -50,7 +50,7 @@ let part1 ppf =
     (!executed = n_events);
   Shape.check ppf "engine clock monotone over the drain" !monotone;
   Shape.check ppf
-    (Printf.sprintf "freelist keeps the heap small (capacity %d << %d events)"
+    (Printf.sprintf "the pooled heap stays small (capacity %d << %d events)"
        (Sim.Engine.capacity e) n_events)
     (Sim.Engine.capacity e < 1024);
   Format.fprintf ppf

@@ -185,21 +185,35 @@ let write_file path contents =
 let schedule_cmd =
   let run seed jobs periodic drop fault_seed retry_budget crashes
       page_timeout_rate dsm_batch prefetch trace metrics =
+    let must v = validated ~cmd:"schedule" v in
+    let module V = Sched.Validate in
     let js =
       if periodic then Sched.Arrival.periodic ~seed ~waves:5 ~max_per_wave:14
-      else Sched.Arrival.sustained ~seed ~jobs
+      else
+        Sched.Arrival.sustained ~seed
+          ~jobs:(must (V.at_least ~what:"--jobs" ~min:0 jobs))
+    in
+    let drop = must (V.probability ~what:"--drop" drop) in
+    let page_timeout_rate =
+      must (V.probability ~what:"--page-timeout-rate" page_timeout_rate)
     in
     (* No fault flags -> no plan at all: the run is byte-identical to one
-       from a build without fault injection. *)
+       from a build without fault injection. The plan's own flags are
+       checked only when it is built; the ensemble has two nodes. *)
     let faults =
       if drop = 0.0 && crashes = [] && page_timeout_rate = 0.0 then None
-      else
+      else begin
+        let retry_budget =
+          must (V.at_least ~what:"--retry-budget" ~min:1 retry_budget)
+        in
+        must (V.crashes_in_range ~nodes:2 crashes);
         Some
           (Faults.Plan.make ~seed:fault_seed
              ~messages:
                [ { Faults.Plan.kind = "*"; drop; delay = drop;
                    delay_s = 200e-6 } ]
              ~crashes ~page_timeout_rate ~retry_budget ())
+      end
     in
     Format.printf "%d jobs (%s, seed %d):@." (List.length js)
       (if periodic then "periodic" else "sustained")
@@ -392,10 +406,14 @@ let state_map_cmd =
        ~doc:"Verify the paper's Section-3 state-class mappings on a binary")
     Term.(const run $ bench_arg $ cls_arg)
 
-(* --- lint ------------------------------------------------------------------- *)
+(* --- lint and audit ------------------------------------------------------ *)
 
-let lint_cmd =
-  let run json rules workloads jobs seq list_rules fail_on_warn =
+(* One diagnostics command: the shared flags, the rule-registry listing,
+   the unknown-rule check, and the report-and-exit code. [select] is the
+   command's own selection term; the run it yields resolves its names
+   only after the rule check, then returns the diagnostics. *)
+let diagnostics_cmd ~name ~doc ~verb ~jobs_doc ~registry ~is_rule select =
+  let run json rules jobs seq list_rules fail_on_warn diagnose =
     if list_rules then begin
       Format.printf "%-32s %-8s %s@." "RULE" "SEVERITY" "DESCRIPTION";
       List.iter
@@ -403,32 +421,20 @@ let lint_cmd =
           Format.printf "%-32s %-8s %s@." id
             (Analysis.Diagnostic.severity_to_string sev)
             desc)
-        Analysis.Lint.rules
+        registry
     end
     else begin
       List.iter
         (fun id ->
-          if not (Analysis.Lint.is_rule id) then begin
-            Format.eprintf "unknown rule %s (hetmig lint --list-rules)@." id;
+          if not (is_rule id) then begin
+            Format.eprintf "unknown rule %s (hetmig %s --list-rules)@." id
+              name;
             exit 2
           end)
         rules;
-      let targets =
-        match workloads with
-        | [] -> Analysis.Lint.all_targets
-        | names ->
-          List.map
-            (fun name ->
-              match Analysis.Lint.target_of_name name with
-              | Some t -> t
-              | None ->
-                Format.eprintf "unknown workload %s (want e.g. cg.A)@." name;
-                exit 2)
-            names
-      in
       let rules = match rules with [] -> None | ids -> Some ids in
       let jobs = if seq then Some 1 else jobs in
-      let diags = Analysis.Lint.run ?rules ~targets ?jobs () in
+      let diags = diagnose ~rules ~jobs in
       if json then print_string (Analysis.Diagnostic.report_to_json diags)
       else Analysis.Diagnostic.pp_report Format.std_formatter diags;
       if
@@ -448,21 +454,13 @@ let lint_cmd =
          & info [ "rule" ] ~docv:"RULE"
              ~doc:"Check only this rule id (repeatable).")
   in
-  let workloads =
-    Arg.(value & opt_all string []
-         & info [ "workload" ] ~docv:"NAME"
-             ~doc:"Lint only this workload, e.g. cg.A (repeatable; default: \
-                   every benchmark and class).")
-  in
   let jobs =
     Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Domains to lint targets on (default: HETMIG_JOBS or the \
-                   machine's core count).")
+         & info [ "jobs"; "j" ] ~docv:"N" ~doc:jobs_doc)
   in
   let seq =
     Arg.(value & flag
-         & info [ "seq" ] ~doc:"Lint sequentially (same as --jobs 1).")
+         & info [ "seq" ] ~doc:(verb ^ " sequentially (same as --jobs 1)."))
   in
   let list_rules =
     Arg.(value & flag
@@ -473,75 +471,66 @@ let lint_cmd =
          & info [ "fail-on-warn" ]
              ~doc:"Also exit 1 when any warning-severity diagnostic fires.")
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Verify migratability invariants of the benchmark programs: IR \
-          well-formedness, stackmap coverage, unwind/frame soundness, \
-          cross-ISA layout alignment, and DSM race freedom. Exits 1 when \
-          any error-severity diagnostic fires.")
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ json $ rules $ workloads $ jobs $ seq $ list_rules
-      $ fail_on_warn)
+      const run $ json $ rules $ jobs $ seq $ list_rules $ fail_on_warn
+      $ select)
 
-(* --- audit ------------------------------------------------------------------ *)
+let lint_cmd =
+  let select workloads ~rules ~jobs =
+    let targets =
+      match workloads with
+      | [] -> Analysis.Lint.all_targets
+      | names ->
+        List.map
+          (fun name ->
+            match Analysis.Lint.target_of_name name with
+            | Some t -> t
+            | None ->
+              Format.eprintf "unknown workload %s (want e.g. cg.A)@." name;
+              exit 2)
+          names
+    in
+    Analysis.Lint.run ?rules ~targets ?jobs ()
+  in
+  let workloads =
+    Arg.(value & opt_all string []
+         & info [ "workload" ] ~docv:"NAME"
+             ~doc:"Lint only this workload, e.g. cg.A (repeatable; default: \
+                   every benchmark and class).")
+  in
+  diagnostics_cmd ~name:"lint"
+    ~doc:
+      "Verify migratability invariants of the benchmark programs: IR \
+       well-formedness, stackmap coverage, unwind/frame soundness, \
+       cross-ISA layout alignment, and DSM race freedom. Exits 1 when \
+       any error-severity diagnostic fires."
+    ~verb:"Lint"
+    ~jobs_doc:
+      "Domains to lint targets on (default: HETMIG_JOBS or the machine's \
+       core count)."
+    ~registry:Analysis.Lint.rules ~is_rule:Analysis.Lint.is_rule
+    Term.(const select $ workloads)
 
 let audit_cmd =
-  let run json rules scenarios domains jobs seq list_rules fail_on_warn =
-    if list_rules then begin
-      Format.printf "%-32s %-8s %s@." "RULE" "SEVERITY" "DESCRIPTION";
-      List.iter
-        (fun (id, sev, desc) ->
-          Format.printf "%-32s %-8s %s@." id
-            (Analysis.Diagnostic.severity_to_string sev)
-            desc)
-        Analysis.Audit.rules
-    end
-    else begin
-      List.iter
-        (fun id ->
-          if not (Analysis.Audit.is_rule id) then begin
-            Format.eprintf "unknown rule %s (hetmig audit --list-rules)@." id;
-            exit 2
-          end)
-        rules;
-      let scenarios =
-        match scenarios with
-        | [] -> Analysis.Audit.all_scenarios
-        | names ->
-          List.map
-            (fun name ->
-              match Analysis.Audit.scenario_of_name name with
-              | Some s -> s
-              | None ->
-                Format.eprintf
-                  "unknown scenario %s (want fleet, cluster, serve or \
-                   scheduler)@."
-                  name;
-                exit 2)
-            names
-      in
-      let rules = match rules with [] -> None | ids -> Some ids in
-      let jobs = if seq then Some 1 else jobs in
-      let diags = Analysis.Audit.run ?rules ~scenarios ~domains ?jobs () in
-      if json then print_string (Analysis.Diagnostic.report_to_json diags)
-      else Analysis.Diagnostic.pp_report Format.std_formatter diags;
-      if
-        Analysis.Diagnostic.errors diags > 0
-        || (fail_on_warn && Analysis.Diagnostic.warnings diags > 0)
-      then exit 1
-    end
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the report as deterministic JSON (byte-stable \
-                   across $(b,--jobs) values).")
-  in
-  let rules =
-    Arg.(value & opt_all string []
-         & info [ "rule" ] ~docv:"RULE"
-             ~doc:"Check only this rule id (repeatable).")
+  let select scenarios domains ~rules ~jobs =
+    let scenarios =
+      match scenarios with
+      | [] -> Analysis.Audit.all_scenarios
+      | names ->
+        List.map
+          (fun name ->
+            match Analysis.Audit.scenario_of_name name with
+            | Some s -> s
+            | None ->
+              Format.eprintf
+                "unknown scenario %s (want fleet, cluster, serve or \
+                 scheduler)@."
+                name;
+              exit 2)
+          names
+    in
+    Analysis.Audit.run ?rules ~scenarios ~domains ?jobs ()
   in
   let scenarios =
     Arg.(value & opt_all string []
@@ -555,38 +544,20 @@ let audit_cmd =
              ~doc:"Parallel lane count certified against the sequential \
                    reference run.")
   in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Domains to fan audit tasks over (default: HETMIG_JOBS or \
-                   the machine's core count).")
-  in
-  let seq =
-    Arg.(value & flag
-         & info [ "seq" ] ~doc:"Audit sequentially (same as --jobs 1).")
-  in
-  let list_rules =
-    Arg.(value & flag
-         & info [ "list-rules" ] ~doc:"Print the rule registry and exit.")
-  in
-  let fail_on_warn =
-    Arg.(value & flag
-         & info [ "fail-on-warn" ]
-             ~doc:"Also exit 1 when any warning-severity diagnostic fires.")
-  in
-  Cmd.v
-    (Cmd.info "audit"
-       ~doc:
-         "Verify the parallel runtime: re-run the committed fleet, \
-          cluster, serve and scheduler scenarios with execution capture \
-          enabled, check \
-          the recorded schedule against the conservative-lookahead \
-          invariants, detect cross-island ownership races, and certify \
-          domains=1 and domains=N runs byte-identical. Exits 1 when any \
-          error-severity diagnostic fires.")
-    Term.(
-      const run $ json $ rules $ scenarios $ domains $ jobs $ seq $ list_rules
-      $ fail_on_warn)
+  diagnostics_cmd ~name:"audit"
+    ~doc:
+      "Verify the parallel runtime: re-run the committed fleet, cluster, \
+       serve and scheduler scenarios with execution capture enabled, \
+       check the recorded schedule against the conservative-lookahead \
+       invariants, detect cross-island ownership races, and certify \
+       domains=1 and domains=N runs byte-identical. Exits 1 when any \
+       error-severity diagnostic fires."
+    ~verb:"Audit"
+    ~jobs_doc:
+      "Domains to fan audit tasks over (default: HETMIG_JOBS or the \
+       machine's core count)."
+    ~registry:Analysis.Audit.rules ~is_rule:Analysis.Audit.is_rule
+    Term.(const select $ scenarios $ domains)
 
 (* --- fleet and cluster --------------------------------------------------- *)
 
@@ -809,35 +780,51 @@ let serve_cmd =
       rate_low peak_rps demand limit replicas max_replicas routing domains
       epoch slo policy window workers zero_downtime crashes out trace metrics
       save_trace =
+    let must v = validated ~cmd:"serve" v in
+    let module V = Sched.Validate in
+    let nodes = must (V.at_least ~what:"--nodes" ~min:2 nodes) in
+    let epoch = must (V.serve_epoch epoch) in
+    let window = must (V.positive_float ~what:"--window" window) in
+    let workers = must (V.at_least ~what:"--workers" ~min:1 workers) in
+    let replicas = must (V.at_least ~what:"--replicas" ~min:1 replicas) in
+    let limit = must (V.at_least ~what:"--limit" ~min:0 limit) in
+    let demand =
+      Option.map
+        (fun d -> must (V.non_negative_float ~what:"--demand" d))
+        demand
+    in
+    let check_rate what = function
+      | None -> ()
+      | Some r -> ignore (must (V.positive_float ~what r))
+    in
+    check_rate "--rate-high" rate_high;
+    check_rate "--rate-low" rate_low;
+    check_rate "--peak-rps" peak_rps;
+    must (V.crashes_in_range ~nodes crashes);
     (* Sources are lazy: nothing here materializes a trace. The run
        opens its own fresh stream, so memory stays independent of how
-       many requests the source will yield. *)
+       many requests the source will yield. Each generator's own flags
+       are checked only when it runs. *)
     let source =
       match trace_file with
       | Some path -> Sched.Arrival.Replay_file path
       | None -> begin
+        let services = must (V.at_least ~what:"--services" ~min:1 services) in
         match arrivals with
         | "bursty" ->
+          let duration_s =
+            must (V.positive_float ~what:"--duration" duration)
+          in
           Sched.Arrival.bursty_source ?rate_high ?rate_low ~seed ~services
-            ~duration_s:duration ()
+            ~duration_s ()
         | "diurnal" ->
+          let days = must (V.at_least ~what:"--days" ~min:1 days) in
           Sched.Arrival.diurnal_source ?peak_rps ~seed ~services ~days ()
         | s ->
           Format.eprintf "unknown arrival model %s (bursty, diurnal)@." s;
           exit 2
       end
     in
-    let must v = validated ~cmd:"serve" v in
-    let nodes = must (Sched.Validate.at_least ~what:"--nodes" ~min:2 nodes) in
-    let epoch = must (Sched.Validate.positive_float ~what:"--epoch" epoch) in
-    let check_rate what = function
-      | None -> ()
-      | Some r -> ignore (must (Sched.Validate.positive_float ~what r))
-    in
-    check_rate "--rate-high" rate_high;
-    check_rate "--rate-low" rate_low;
-    check_rate "--peak-rps" peak_rps;
-    must (Sched.Validate.crashes_in_range ~nodes crashes);
     (match save_trace with
     | Some path ->
       let s =

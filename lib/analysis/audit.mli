@@ -5,8 +5,8 @@
     and its recorded execution flows through {!Islands_check} (schedule
     verifier), {!Island_race} (ownership race detector), and
     {!Determinism_check} (domains=1 vs domains=N certification, plus
-    seed/epoch sensitivity probes). The scheduler scenario certifies
-    the engine-hosted run against the island-hosted one. *)
+    seed/epoch sensitivity probes). The scheduler scenario certifies a
+    repeat run, on warm process-wide memos, against the first. *)
 
 type scenario = Fleet | Cluster | Serve | Scheduler
 

@@ -77,7 +77,6 @@ type config = {
   policy : policy;
   power_cap_w : float;
       (** [Pack_power_cap]: projected cluster power admission budget *)
-  quantum_instructions : float;
   migration : bool;  (** per-epoch rebalance, whatever the policy *)
   fail_rate : float;  (** per-phase failure probability; failed phases retry *)
 }
@@ -96,7 +95,6 @@ let default ~topology ~jobs ~seed =
        admission: about half the fleet busy. *)
     power_cap_w =
       0.75 *. 110.0 *. float_of_int (Machine.Topology.nodes topology);
-    quantum_instructions = 1e8;
     migration = true;
     fail_rate = 0.0;
   }
@@ -155,7 +153,10 @@ type job = {
   phase_instr : float;
 }
 
-let make_job cfg rng jid arrival =
+(* Instructions per job phase, as in the Popcorn-ensemble scheduler. *)
+let quantum_instructions = 1e8
+
+let make_job rng jid arrival =
   let bench, cls = Sim.Prng.choice rng job_pool in
   let spec = Workload.Spec.spec bench cls in
   let threads = Sim.Prng.choice rng thread_counts in
@@ -163,7 +164,7 @@ let make_job cfg rng jid arrival =
     spec.Workload.Spec.total_instructions /. float_of_int threads
   in
   let n_phases =
-    max 1 (int_of_float (Float.ceil (per_thread /. cfg.quantum_instructions)))
+    max 1 (int_of_float (Float.ceil (per_thread /. quantum_instructions)))
   in
   { jid; arrival; threads; spec; n_phases;
     phase_instr = per_thread /. float_of_int n_phases }
@@ -380,7 +381,7 @@ let run_impl ?(domains = 1) ~capture cfg =
     let rng = Sim.Prng.create cfg.seed in
     let t = ref 0.0 in
     List.init cfg.jobs (fun jid ->
-        let job = make_job cfg rng jid !t in
+        let job = make_job rng jid !t in
         t := !t +. Sim.Prng.exponential rng ~mean:cfg.mean_interarrival_s;
         job)
   in

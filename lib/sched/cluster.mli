@@ -46,7 +46,6 @@ type config = {
   policy : policy;
   power_cap_w : float;
       (** [Pack_power_cap]: projected cluster power admission budget *)
-  quantum_instructions : float;
   migration : bool;
       (** per-epoch rebalance; [false] turns it off for every policy *)
   fail_rate : float;

@@ -22,9 +22,13 @@ let thread_location (th : Kernel.Process.thread) =
 
 type admission = Fcfs | Sjf
 
-let run ?(quantum_instructions = 1e8) ?(rebalance_period = 2.0)
-    ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
-    ?(on_islands = false) policy jobs =
+(* Phase length of every job, and the dynamic policies' load-check
+   interval. *)
+let quantum_instructions = 1e8
+let rebalance_period = 2.0
+
+let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
+    policy jobs =
   let engine = Sim.Engine.create () in
   let machines = Policy.machines policy in
   let pop =
@@ -372,17 +376,7 @@ let run ?(quantum_instructions = 1e8) ?(rebalance_period = 2.0)
     in
     Sim.Engine.schedule_in engine ~after:rebalance_period tick
   end;
-  (* [on_islands] hosts the whole ensemble engine on island 0 of a small
-     island runtime instead of calling [Engine.run] directly. The hosted
-     engine pops its events in exactly the same order either way, so the
-     result is byte-identical — this is the regression bridge proving the
-     PR-6 island runtime can carry the Popcorn-ensemble scheduler. *)
-  if on_islands then begin
-    let rt = Sim.Islands.create ~islands:2 ~lookahead:0.5 ~seed:0 () in
-    Sim.Islands.drive (Sim.Islands.island rt 0) engine;
-    Sim.Islands.run rt
-  end
-  else Sim.Engine.run engine;
+  Sim.Engine.run engine;
   let energy =
     match !final_energy with
     | Some snapshot -> snapshot

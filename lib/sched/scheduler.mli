@@ -37,26 +37,22 @@ type admission = Fcfs | Sjf
     leaves as future work). *)
 
 val run :
-  ?quantum_instructions:float ->
-  ?rebalance_period:float ->
   ?admission:admission ->
   ?faults:Faults.Plan.t ->
   ?dsm_batch:bool ->
   ?prefetch:bool ->
   ?obs:Obs.t ->
-  ?on_islands:bool ->
   Policy.t ->
   Job.t list ->
   result
-(** Simulate to completion. [quantum_instructions] is the phase length
-    (default 1e8); [rebalance_period] the dynamic policies' load-check
-    interval (default 2 s); [admission] the queue order (default
-    [Fcfs]). Jobs wider than every machine are rejected at submission
-    and counted in [rejected]. [dsm_batch] and [prefetch] (both default
-    false, bit-identical to the historical model when off) enable
-    coalesced hDSM transfers and the migration working-set prefetch;
-    their effect is visible in [downtime_s], [remote_fetches],
-    [drain_time_s] and the makespan.
+(** Simulate to completion. Jobs run in phases of 1e8 instructions,
+    and the dynamic policies check loads every 2 s. [admission] is the
+    queue order (default [Fcfs]). Jobs wider than every machine are
+    rejected at submission and counted in [rejected]. [dsm_batch] and
+    [prefetch] (both default false, bit-identical to the historical
+    model when off) enable coalesced hDSM transfers and the migration
+    working-set prefetch; their effect is visible in [downtime_s],
+    [remote_fetches], [drain_time_s] and the makespan.
 
     [obs] (default {!Obs.noop} — the run computes exactly the same
     result, byte for byte) collects structured observability: job
@@ -76,12 +72,6 @@ val run :
     [plan.retry_budget - 1] times, then counted in [failed]; queued or
     arriving jobs wider than every surviving machine also fail. The
     same plan and seed reproduce bit-identical results.
-
-    [on_islands] (default false) hosts the run's engine on the
-    {!Sim.Islands} runtime via {!Sim.Islands.drive} instead of running
-    it directly; the result is byte-identical, and the flag exists so
-    the island runtime's ability to carry the full ensemble is covered
-    by a regression diff.
 
     Each call is self-contained: it builds its own {!Sim.Engine},
     Popcorn ensemble, and per-run state, and shares nothing mutable

@@ -66,10 +66,7 @@ type config = {
   demand_instructions : float;  (** mean per-request work *)
   demand_sigma : float;  (** lognormal sigma of per-request work *)
   workers : int;  (** concurrent requests per service instance *)
-  queue_cap : int;  (** per-instance queue bound; overflow drops *)
-  footprint_bytes : int;  (** working set moved at migration *)
   zero_downtime : bool;  (** ablation stub: migrations pause nothing *)
-  interconnect : Machine.Interconnect.t;
   crashes : Faults.Plan.crash list;
   replicas : int;  (** initial replicas per service *)
   max_replicas : int;  (** scale-out ceiling for the SLO policy *)
@@ -89,10 +86,7 @@ let default ~nodes ~seed ~source =
     demand_instructions = 5e7;
     demand_sigma = 0.5;
     workers = 4;
-    queue_cap = 512;
-    footprint_bytes = 64 * 1024 * 1024;
     zero_downtime = false;
-    interconnect = Machine.Interconnect.ethernet_10g;
     crashes = [];
     replicas = 1;
     max_replicas = 1;
@@ -294,6 +288,14 @@ let demand_for cfg rid =
          (cfg.seed lxor ((rid + 1) * 0x9e3779b1))
          ~mu:(-0.5 *. sigma *. sigma) ~sigma
 
+(* Every node pair talks over the paper's 10GbE link; each instance
+   queues at most [queue_cap] requests (overflow drops) and moves a
+   64 MiB working set when it migrates. *)
+let interconnect = Machine.Interconnect.ethernet_10g
+let epoch_floor_s = interconnect.Machine.Interconnect.latency_s
+let queue_cap = 512
+let footprint_bytes = 64 * 1024 * 1024
+
 (* Stop-and-copy pause charged when a drained instance leaves its node:
    state transformation, the working set as one batched stream, and the
    strong-consistency re-homing of the instance's kernel-service slices
@@ -302,20 +304,26 @@ let migration_pause cfg =
   if cfg.zero_downtime then 0.0
   else
     300e-6
-    +. Machine.Interconnect.batch_transfer_time cfg.interconnect
-         ~pages:(Memsys.Page.count ~bytes:cfg.footprint_bytes)
+    +. Machine.Interconnect.batch_transfer_time interconnect
+         ~pages:(Memsys.Page.count ~bytes:footprint_bytes)
          ~page_bytes:Memsys.Page.size
     +. Kernel.Service.replication_cost ~consistency:Kernel.Service.Strong
-         ~interconnect:cfg.interconnect ~replicas:cfg.nodes ~entries:4
+         ~interconnect ~replicas:cfg.nodes ~entries:4
 
 (* --- the simulation ---------------------------------------------------- *)
 
 let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
   if cfg.nodes < 2 then invalid_arg "Service.run: need at least 2 nodes";
-  if cfg.epoch_s <= cfg.interconnect.Machine.Interconnect.latency_s then
+  if cfg.epoch_s <= epoch_floor_s then
     invalid_arg "Service.run: epoch must exceed the interconnect latency";
   if cfg.workers < 1 then invalid_arg "Service.run: need at least one worker";
-  if cfg.queue_cap < 0 then invalid_arg "Service.run: negative queue cap";
+  (* The SLO tick re-arms every window: a zero window would fire at the
+     same instant forever. *)
+  if not (Float.is_finite cfg.window_s && cfg.window_s > 0.0) then
+    invalid_arg "Service.run: window must be finite and positive";
+  if not (Float.is_finite cfg.demand_instructions
+          && cfg.demand_instructions >= 0.0)
+  then invalid_arg "Service.run: demand must be finite and non-negative";
   if cfg.replicas < 1 then
     invalid_arg "Service.run: need at least one replica";
   if cfg.max_replicas < cfg.replicas then
@@ -742,7 +750,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     else if ns.hosted.(svc) then begin
       if (not ns.draining.(svc)) && ns.executing.(svc) < cfg.workers then
         start_request ns svc rid at isl
-      else if Sim.Ring.length ns.queues.(svc) < cfg.queue_cap then
+      else if Sim.Ring.length ns.queues.(svc) < queue_cap then
         Sim.Ring.push ns.queues.(svc) at rid
       else begin
         ns.dropped <- ns.dropped + 1;
@@ -830,7 +838,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       let q = ns.queues.(svc) in
       let over = ref 0 in
       Sim.Ring.iter carried (fun at rid ->
-          if Sim.Ring.length q < cfg.queue_cap then Sim.Ring.push q at rid
+          if Sim.Ring.length q < queue_cap then Sim.Ring.push q at rid
           else incr over);
       if !over > 0 then begin
         ns.dropped <- ns.dropped + !over;
@@ -1418,7 +1426,7 @@ let render cfg (r : result) =
      epoch=%.3fs slo=%.1fms policy=%s window=%.1fs workers=%d queue-cap=%d \
      replicas=%d max-replicas=%d routing=%s zero-downtime=%s crashes=%d\n"
     r.tname r.services cfg.nodes x86 (cfg.nodes - x86) cfg.seed cfg.epoch_s
-    cfg.slo_ms (policy_name cfg.policy) cfg.window_s cfg.workers cfg.queue_cap
+    cfg.slo_ms (policy_name cfg.policy) cfg.window_s cfg.workers queue_cap
     cfg.replicas cfg.max_replicas (routing_name cfg.routing)
     (if cfg.zero_downtime then "on" else "off")
     (List.length cfg.crashes);

@@ -68,10 +68,7 @@ type config = {
   demand_instructions : float;  (** mean per-request work *)
   demand_sigma : float;  (** lognormal sigma of per-request work *)
   workers : int;  (** concurrent requests per service instance *)
-  queue_cap : int;  (** per-instance queue bound; overflow drops *)
-  footprint_bytes : int;  (** working set moved at migration *)
   zero_downtime : bool;  (** ablation stub: migrations pause nothing *)
-  interconnect : Machine.Interconnect.t;
   crashes : Faults.Plan.crash list;
   replicas : int;  (** initial replicas per service (default 1) *)
   max_replicas : int;
@@ -82,6 +79,12 @@ type config = {
 }
 
 val default : nodes:int -> seed:int -> source:Arrival.source -> config
+(** Every node pair talks over the paper's 10GbE link, each instance
+    queues at most 512 requests (overflow drops), and a migration moves
+    a 64 MiB working set; these are fixed, not configurable. *)
+
+val epoch_floor_s : float
+(** The 10GbE link latency: [epoch_s] must exceed it. *)
 
 type result = {
   tname : string;  (** the stream's trace name *)
@@ -124,7 +127,8 @@ val run : ?domains:int -> ?obs:Obs.t -> config -> result
     schedule as plain ones, so reports stay byte-identical with
     observability on or off, under any domain count. Raises
     [Invalid_argument] on configs that cannot run: fewer than 2 nodes,
-    an epoch at or below the interconnect latency, no workers, replica
+    an epoch at or below {!epoch_floor_s}, no workers, a window that is
+    not finite and positive, a negative or non-finite demand, replica
     counts out of range, a negative limit, or crashes at unknown
     nodes. *)
 

@@ -18,9 +18,19 @@ let positive_float ~what v =
   if Float.is_finite v && v > 0.0 then Ok v
   else errf "%s must be a positive number (got %g)" what v
 
+let non_negative_float ~what v =
+  if Float.is_finite v && v >= 0.0 then Ok v
+  else errf "%s must be a non-negative number (got %g)" what v
+
 let probability ~what v =
   if Float.is_finite v && v >= 0.0 && v <= 1.0 then Ok v
   else errf "%s must be a probability in [0, 1] (got %g)" what v
+
+let serve_epoch v =
+  if Float.is_finite v && v > Service.epoch_floor_s then Ok v
+  else
+    errf "--epoch must exceed the 10GbE link latency %gs (got %g)"
+      Service.epoch_floor_s v
 
 (* [--islands N]: [None] means "pick a default later", which is always
    valid; an explicit value must be at least one lane. *)

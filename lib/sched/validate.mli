@@ -8,8 +8,15 @@ val at_least : what:string -> min:int -> int -> (int, string) result
 val positive_float : what:string -> float -> (float, string) result
 (** Finite and strictly positive. *)
 
+val non_negative_float : what:string -> float -> (float, string) result
+(** Finite and at least zero. *)
+
 val probability : what:string -> float -> (float, string) result
 (** Finite and in [0, 1]. *)
+
+val serve_epoch : float -> (float, string) result
+(** [--epoch] for serve must exceed {!Service.epoch_floor_s}, the 10GbE
+    link latency; the message names the floor. *)
 
 val islands : int option -> (int option, string) result
 (** [None] (pick a default) is always valid; [Some d] needs [d >= 1]. *)

@@ -36,16 +36,15 @@ type 'a t = {
   mutable order_violations : int;
 }
 
-let default_capacity = 64
+let initial_capacity = 64
 
-let create ?(capacity = default_capacity) ?(check_order = false) ~dummy () =
-  let capacity = max 1 capacity in
+let create ?(check_order = false) ~dummy () =
   {
     dummy;
-    times = Array.make capacity 0.0;
-    seqs = Array.make capacity 0;
-    srcs = Array.make capacity 0;
-    pays = Array.make capacity dummy;
+    times = Array.make initial_capacity 0.0;
+    seqs = Array.make initial_capacity 0;
+    srcs = Array.make initial_capacity 0;
+    pays = Array.make initial_capacity dummy;
     size = 0;
     last_time = 0.0;
     last_src = 0;
@@ -175,18 +174,15 @@ let last_src t = t.last_src
 let last_seq t = t.last_seq
 let order_violations t = t.order_violations
 
-let clear ?shrink_to t =
-  let cap =
-    max default_capacity (Option.value ~default:default_capacity shrink_to)
-  in
-  if Array.length t.times > cap then begin
-    t.times <- Array.make cap 0.0;
-    t.seqs <- Array.make cap 0;
-    t.srcs <- Array.make cap 0;
-    t.pays <- Array.make cap t.dummy
+let clear t =
+  if Array.length t.times > initial_capacity then begin
+    t.times <- Array.make initial_capacity 0.0;
+    t.seqs <- Array.make initial_capacity 0;
+    t.srcs <- Array.make initial_capacity 0;
+    t.pays <- Array.make initial_capacity t.dummy
   end
   else Array.fill t.pays 0 t.size t.dummy;
   t.size <- 0;
-  (* A cleared calendar starts a fresh key stream (engine pools recycle
-     records across unrelated runs); accumulated violations persist. *)
+  (* A cleared calendar starts a fresh key stream (a cleared engine is
+     reused for an unrelated run); accumulated violations persist. *)
   t.has_popped <- false

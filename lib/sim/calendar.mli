@@ -11,13 +11,13 @@
 
 type 'a t
 
-val create : ?capacity:int -> ?check_order:bool -> dummy:'a -> unit -> 'a t
-(** [dummy] fills vacated payload slots so the heap never retains dead
-    payloads. [check_order] (default false) arms a pop-order tripwire:
-    each pop compares its (time, seq, src) key against the previous
-    pop's and counts regressions in {!order_violations} — a cheap
-    in-situ witness of the strict total order the audit layer
-    verifies. *)
+val create : ?check_order:bool -> dummy:'a -> unit -> 'a t
+(** An empty calendar with 64 slots. [dummy] fills vacated payload
+    slots so the heap never retains dead payloads. [check_order]
+    (default false) arms a pop-order tripwire: each pop compares its
+    (time, seq, src) key against the previous pop's and counts
+    regressions in {!order_violations} — a cheap in-situ witness of
+    the strict total order the audit layer verifies. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
@@ -45,7 +45,6 @@ val order_violations : 'a t -> int
     exceed the previous pop's key since creation. {!clear} restarts the
     key stream (the next pop is unconstrained) but keeps the count. *)
 
-val clear : ?shrink_to:int -> 'a t -> unit
-(** Empty the calendar and shrink the backing lanes back to
-    [shrink_to] slots (default: the initial capacity) if they grew
-    beyond it. *)
+val clear : 'a t -> unit
+(** Empty the calendar and shrink the backing lanes back to the initial
+    64 slots if they grew beyond them. *)

@@ -18,9 +18,6 @@ let now t = t.clock
 let pending t = Calendar.size t.cal
 let capacity t = Calendar.capacity t.cal
 
-let next_time t =
-  if Calendar.is_empty t.cal then None else Some (Calendar.min_time t.cal)
-
 let schedule t ~at action =
   if at < t.clock then
     invalid_arg
@@ -47,7 +44,7 @@ let run_until t limit =
    scenario would otherwise retain its peak-size calendar lanes forever
    (they only ever double); shrinking here returns the engine to a
    bounded footprint between runs. *)
-let clear ?shrink_to t =
-  Calendar.clear ?shrink_to t.cal;
+let clear t =
+  Calendar.clear t.cal;
   t.clock <- 0.0;
   t.next_seq <- 0

@@ -27,18 +27,12 @@ val run_until : t -> float -> unit
 val pending : t -> int
 (** Number of queued events. *)
 
-val next_time : t -> float option
-(** Timestamp of the earliest queued event, if any — the hook an outer
-    runtime (e.g. {!Islands.drive}) uses to pump a hosted engine without
-    advancing it. *)
-
 val capacity : t -> int
 (** Current size of the backing heap array (grows by doubling, shrinks
     only through {!clear}). *)
 
-val clear : ?shrink_to:int -> t -> unit
+val clear : t -> unit
 (** [clear t] empties the queue and resets the clock and sequence counter
-    so the engine can be reused for a fresh run. The backing heap and
-    event-record freelist are shrunk back to [shrink_to] slots (default:
-    the initial capacity) if they grew beyond it, so pooled engines do
-    not retain their peak-size arrays across runs. *)
+    so the engine can be reused for a fresh run. The backing heap is
+    shrunk back to its initial 64 slots if it grew beyond them, so a
+    pooled engine does not retain its peak-size arrays across runs. *)

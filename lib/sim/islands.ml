@@ -93,7 +93,6 @@ type island_cap = {
 type island = {
   id : int;
   n_islands : int;
-  lookahead : float;  (* window lookahead: min over this island's edges *)
   out_lookahead : float array;
       (* per-destination minimum post delay (uniform rows when no edge
          matrix was given) — the topology-aware post contract *)
@@ -105,9 +104,6 @@ type island = {
   dirty : int array;  (* destinations with a non-empty outbox *)
   mutable dirty_n : int;
   mutable executed : int;
-  record : bool;
-  mutable trace : (float * int * int * int) list;
-      (* (time, seq, src, island), reversed execution order *)
   cap : island_cap option;
   mutable cur_window : int;  (* window index while executing *)
 }
@@ -156,7 +152,7 @@ let outbox_grow box =
   box.o_seqs <- seqs';
   box.o_acts <- acts'
 
-let create ?(record = false) ?(capture = false) ?edge_lookahead ~islands:n
+let create ?(capture = false) ?edge_lookahead ~islands:n
     ~lookahead ~seed () =
   if n < 1 then invalid_arg "Islands.create: need at least one island";
   if not (Float.is_finite lookahead) || lookahead <= 0.0 then
@@ -206,7 +202,6 @@ let create ?(record = false) ?(capture = false) ?edge_lookahead ~islands:n
         {
           id;
           n_islands = n;
-          lookahead = window_lookahead;
           out_lookahead =
             (if edge = [||] then Array.make n lookahead
              else Array.copy edge.(id));
@@ -218,8 +213,6 @@ let create ?(record = false) ?(capture = false) ?edge_lookahead ~islands:n
           dirty = Array.make n 0;
           dirty_n = 0;
           executed = 0;
-          record;
-          trace = [];
           cap =
             (if capture then
                Some { k_execs = []; k_posts = []; k_touches = [] }
@@ -235,8 +228,6 @@ let create ?(record = false) ?(capture = false) ?edge_lookahead ~islands:n
     prng0; cap_barriers = [] }
 
 let island t id = t.islands.(id)
-let island_count t = Array.length t.islands
-let lookahead t = t.lookahead
 let id isl = isl.id
 let now isl = isl.clock
 let prng isl = isl.prng
@@ -317,11 +308,6 @@ let run_island_window isl ~window ~until =
       let clock_before = isl.clock in
       isl.clock <- Calendar.last_time cal;
       isl.executed <- isl.executed + 1;
-      if isl.record then
-        isl.trace <-
-          (Calendar.last_time cal, Calendar.last_seq cal, Calendar.last_src cal,
-           isl.id)
-          :: isl.trace;
       match isl.cap with
       | None -> act isl
       | Some cap ->
@@ -389,47 +375,31 @@ let record_barrier t ~from ~until =
       }
       :: t.cap_barriers
 
-let run_sequential t =
-  let continue = ref true in
-  while !continue do
-    let next = next_time t in
-    if next = Float.infinity then continue := false
-    else begin
-      let until = next +. t.lookahead in
-      let window = t.windows in
-      Array.iter (fun isl -> run_island_window isl ~window ~until) t.islands;
-      deliver t;
-      record_barrier t ~from:next ~until;
-      t.windows <- t.windows + 1
-    end
+(* One lane's share of a window: islands [k], [k + d], [k + 2d], ... *)
+let run_lane t ~d k ~window ~until =
+  let i = ref k in
+  while !i < Array.length t.islands do
+    run_island_window t.islands.(!i) ~window ~until;
+    i := !i + d
   done
 
-(* Parallel execution: [d] lanes over persistent domains, island [i]
-   handled by lane [i mod d]. Lane 0 is the coordinating domain. Window
-   state is handed to the workers under a mutex/condition barrier; the
-   islands themselves are disjoint, so lanes never contend on simulation
-   state. *)
-let run_parallel t ~domains =
-  let n = Array.length t.islands in
-  let d = min domains n in
+(* Parallel lanes: [d - 1] persistent worker domains plus the calling
+   domain as lane 0. Each window is handed to the workers under a
+   mutex/condition barrier; the islands are disjoint, so lanes never
+   contend on simulation state. Returns the per-window step, which
+   re-raises the first lane failure once every lane has stopped, and
+   the shutdown. *)
+let parallel_lanes t d =
   let m = Mutex.create () in
   let cv = Condition.create () in
   let round = ref 0 in
-  let window = ref 0.0 in
+  let window = ref 0 in
+  let until = ref 0.0 in
   let stop = ref false in
   let done_workers = ref 0 in
   let failure = ref None in
-  let run_lane k ~until =
-    try
-      (* [t.windows] is only advanced by lane 0 at the barrier, and every
-         lane's read is separated from that write by the round mutex, so
-         this unsynchronized-looking read is ordered. *)
-      let window = t.windows in
-      let i = ref k in
-      while !i < n do
-        run_island_window t.islands.(!i) ~window ~until;
-        i := !i + d
-      done
+  let guarded k ~window ~until =
+    try run_lane t ~d k ~window ~until
     with exn ->
       let bt = Printexc.get_raw_backtrace () in
       Mutex.lock m;
@@ -450,9 +420,9 @@ let run_parallel t ~domains =
       end
       else begin
         my_round := !round;
-        let until = !window in
+        let window = !window and until = !until in
         Mutex.unlock m;
-        run_lane k ~until;
+        guarded k ~window ~until;
         Mutex.lock m;
         incr done_workers;
         Condition.broadcast cv;
@@ -461,90 +431,60 @@ let run_parallel t ~domains =
     done
   in
   let workers = Array.init (d - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-  let finished = ref false in
-  while not !finished do
+  let step ~window:w ~until:u =
+    Mutex.lock m;
+    window := w;
+    until := u;
+    done_workers := 0;
+    incr round;
+    Condition.broadcast cv;
+    Mutex.unlock m;
+    guarded 0 ~window:w ~until:u;
+    Mutex.lock m;
+    while !done_workers < d - 1 do
+      Condition.wait cv m
+    done;
+    let failed = !failure in
+    Mutex.unlock m;
+    match failed with
+    | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+    | None -> ()
+  in
+  let shutdown () =
+    Mutex.lock m;
+    stop := true;
+    Condition.broadcast cv;
+    Mutex.unlock m;
+    Array.iter Domain.join workers
+  in
+  (step, shutdown)
+
+(* The window loop, whatever the domain count: only the per-window lane
+   step differs, and the sequential step (one lane, the calling domain)
+   takes no lock. *)
+let run ?(domains = 1) t =
+  let d = min domains (Array.length t.islands) in
+  let step, shutdown =
+    if d <= 1 then (run_lane t ~d:1 0, ignore) else parallel_lanes t d
+  in
+  Fun.protect ~finally:shutdown @@ fun () ->
+  let continue = ref true in
+  while !continue do
     let next = next_time t in
-    if next = Float.infinity || !failure <> None then finished := true
+    if next = Float.infinity then continue := false
     else begin
       let until = next +. t.lookahead in
-      Mutex.lock m;
-      window := until;
-      done_workers := 0;
-      incr round;
-      Condition.broadcast cv;
-      Mutex.unlock m;
-      run_lane 0 ~until;
-      Mutex.lock m;
-      while !done_workers < d - 1 do
-        Condition.wait cv m
-      done;
-      Mutex.unlock m;
+      step ~window:t.windows ~until;
       deliver t;
       record_barrier t ~from:next ~until;
       t.windows <- t.windows + 1
     end
-  done;
-  Mutex.lock m;
-  stop := true;
-  Condition.broadcast cv;
-  Mutex.unlock m;
-  Array.iter Domain.join workers;
-  match !failure with
-  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-  | None -> ()
-
-let run ?(domains = 1) t =
-  if domains <= 1 || Array.length t.islands <= 1 then run_sequential t
-  else run_parallel t ~domains
-
-(* Host a plain sequential {!Engine} on one island: every engine event
-   becomes an island event at the same timestamp, so the hosted engine's
-   pop order is exactly what [Engine.run] would produce while the island
-   runtime stays free to interleave other islands around it. The pump
-   re-arms itself after each batch; engine events that land at or before
-   the island's current clock (the engine lagging the island) are drained
-   immediately rather than scheduled into the island's past. *)
-let drive isl engine =
-  let rec pump isl =
-    match Engine.next_time engine with
-    | None -> ()
-    | Some t ->
-      let nw = isl.clock in
-      if t <= nw then begin
-        Engine.run_until engine nw;
-        pump isl
-      end
-      else
-        schedule isl ~at:t (fun isl ->
-            Engine.run_until engine isl.clock;
-            pump isl)
-  in
-  pump isl
+  done
 
 let events_executed t =
   Array.fold_left (fun acc isl -> acc + isl.executed) 0 t.islands
 
 let windows t = t.windows
-
-(* Merged execution log in the canonical (time, seq, src) total order —
-   identical whatever the domain count, because each island's log is
-   already sorted by key and keys are globally unique. *)
-let log t =
-  let all =
-    Array.fold_left
-      (fun acc isl -> List.rev_append isl.trace acc)
-      [] t.islands
-  in
-  List.sort
-    (fun (t1, q1, s1, _) (t2, q2, s2, _) ->
-      match Float.compare t1 t2 with
-      | 0 -> begin
-        match compare q1 q2 with 0 -> compare s1 s2 | c -> c
-      end
-      | c -> c)
-    all
-
-let capturing t = t.cap_on
 
 (* Assemble the merged capture. Per-island exec logs are kept in TRUE
    execution order (not re-sorted): each island's execution is

@@ -81,7 +81,6 @@ type capture = {
 }
 
 val create :
-  ?record:bool ->
   ?capture:bool ->
   ?edge_lookahead:float array array ->
   islands:int ->
@@ -89,10 +88,9 @@ val create :
   seed:int ->
   unit ->
   t
-(** [record:true] keeps a per-island execution log for determinism
-    tests (see {!log}); [capture:true] additionally records the full
-    audit capture (see {!capture}) and arms the calendars' pop-order
-    tripwires. Both are off by default, costing nothing. [lookahead]
+(** [capture:true] records the audit capture (see {!capture}) and arms
+    the calendars' pop-order tripwires; it is off by default, costing
+    nothing. The capture is the runtime's only recorder. [lookahead]
     must be finite and positive.
 
     [edge_lookahead], when given, is an [islands × islands] matrix of
@@ -104,8 +102,6 @@ val create :
     unchanged while wider edges admit wider windows. *)
 
 val island : t -> int -> island
-val island_count : t -> int
-val lookahead : t -> float
 
 val id : island -> int
 val now : island -> float
@@ -135,15 +131,6 @@ val post : island -> dst:int -> after:float -> (island -> unit) -> unit
     allocates nothing, which is what amortizes barrier cost at
     millions-of-requests rates. *)
 
-val drive : island -> Engine.t -> unit
-(** [drive isl engine] hosts a sequential {!Engine} on [isl]: each queued
-    engine event is replayed as an island event at its own timestamp, in
-    exactly the order [Engine.run] would pop it, while the surrounding
-    runtime interleaves other islands. Call once after seeding the engine
-    and before {!run}; events the engine schedules during execution are
-    picked up automatically. The engine must only be touched from [isl]'s
-    actions. *)
-
 val run : ?domains:int -> t -> unit
 (** Execute until no events remain anywhere. [domains] bounds the number
     of parallel lanes (capped at the island count); [1] (the default)
@@ -158,9 +145,6 @@ val touch : island -> owner:int -> resource:int -> write:bool -> unit
     [owner] differs from the executing island with no happens-before
     edge. *)
 
-val capturing : t -> bool
-(** Whether the runtime was created with [capture:true]. *)
-
 val capture : t -> capture option
 (** The recorded audit capture, or [None] without [capture:true]. Call
     after {!run}; the capture is assembled fresh on each call. *)
@@ -168,8 +152,3 @@ val capture : t -> capture option
 val events_executed : t -> int
 val windows : t -> int
 (** Number of synchronization windows the run took. *)
-
-val log : t -> (float * int * int * int) list
-(** With [record:true]: every executed event as
-    [(time, seq, src island, executing island)], merged across islands
-    in the canonical (time, seq, src) order. *)

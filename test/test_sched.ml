@@ -99,7 +99,26 @@ let validate_messages () =
   checkb "islands: 1 passes" true (V.islands (Some 1) = Ok (Some 1));
   Alcotest.check Alcotest.string "islands: 0 rejected"
     "--islands must be at least 1 (got 0)"
-    (err (V.islands (Some 0)))
+    (err (V.islands (Some 0)));
+  (* serve and schedule flags a run cannot use. *)
+  Alcotest.check Alcotest.string "serve --window 0"
+    "--window must be a positive number (got 0)"
+    (err (V.positive_float ~what:"--window" 0.0));
+  Alcotest.check Alcotest.string "serve --demand -1"
+    "--demand must be a non-negative number (got -1)"
+    (err (V.non_negative_float ~what:"--demand" (-1.0)));
+  Alcotest.check Alcotest.string "non_negative_float rejects infinity"
+    "--demand must be a non-negative number (got inf)"
+    (err (V.non_negative_float ~what:"--demand" Float.infinity));
+  checkb "zero demand passes" true
+    (V.non_negative_float ~what:"--demand" 0.0 = Ok 0.0);
+  Alcotest.check Alcotest.string "serve --limit -1"
+    "--limit must be at least 0 (got -1)"
+    (err (V.at_least ~what:"--limit" ~min:0 (-1)));
+  Alcotest.check Alcotest.string "serve --epoch at the link latency"
+    "--epoch must exceed the 10GbE link latency 2e-05s (got 2e-05)"
+    (err (V.serve_epoch Sched.Service.epoch_floor_s));
+  checkb "the default epoch passes" true (V.serve_epoch 0.05 = Ok 0.05)
 
 let validate_crash_specs () =
   let module V = Sched.Validate in

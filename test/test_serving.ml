@@ -335,6 +335,33 @@ let trace_file_roundtrip () =
       checkb "replayed trace gives a byte-identical report" true
         (Sched.Service.render (cfg t) a = Sched.Service.render (cfg t') b))
 
+(* --- configs that cannot run are refused up front ------------------------ *)
+
+(* The SLO tick re-arms every window, so a zero window would fire at one
+   instant forever; a negative demand would schedule a completion into
+   the island's past. Both are refused before the run starts. *)
+let run_rejects_bad_window_and_demand () =
+  let cfg =
+    Sched.Service.default ~nodes:2 ~seed:1
+      ~source:
+        (Sched.Arrival.bursty_source ~seed:1 ~services:1 ~duration_s:1.0 ())
+  in
+  let rejects msg cfg =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (Sched.Service.run cfg))
+  in
+  List.iter
+    (fun window_s ->
+      rejects "Service.run: window must be finite and positive"
+        { cfg with Sched.Service.window_s })
+    [ 0.0; -1.0; Float.nan; Float.infinity ];
+  rejects "Service.run: demand must be finite and non-negative"
+    { cfg with Sched.Service.demand_instructions = -1.0 };
+  checkb "zero demand still runs" true
+    ((Sched.Service.run { cfg with Sched.Service.demand_instructions = 0.0 })
+       .Sched.Service.arrived
+    > 0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_conservation;
@@ -349,4 +376,6 @@ let suite =
     Alcotest.test_case "stop-and-copy downtime inflates the tail" `Quick
       downtime_inflates_tail;
     Alcotest.test_case "trace file round-trip" `Quick trace_file_roundtrip;
+    Alcotest.test_case "run rejects a bad window or demand" `Quick
+      run_rejects_bad_window_and_demand;
   ]
