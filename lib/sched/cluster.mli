@@ -74,7 +74,9 @@ type result = {
   retried_phases : int;
   migrations : int;
   steals : int;  (** jobs that landed on a node via work stealing *)
-  deferred : int;  (** admissions blocked at least once by the power cap *)
+  deferred : int;
+      (** epochs in which the power cap blocked the queue head: a job
+          that waits out many epochs counts once per epoch *)
   makespan : float;
   total_energy_j : float;
   energy_x86_j : float;
