@@ -25,17 +25,24 @@ let has mask n = mask land bit n <> 0
 
 let rec popcount mask = if mask = 0 then 0 else (mask land 1) + popcount (mask lsr 1)
 
-(* A registered page range. Pages of a range share one default coherence
-   state (owned exclusively by the registering node) until first touched;
-   the per-page entry is materialized lazily at that point. Registering a
+(* A registered page range is the default-owner map of its untouched
+   pages: a page of the range without its own entry is owned exclusively
+   by [r_owner]. The per-page entry is materialized lazily on first touch,
+   and an entry, once made, always overrides the range. Registering a
    540 MiB working set is therefore O(1) instead of 138k hashtable
-   inserts — registration was the dominant cost of spawning a process. *)
+   inserts — registration was the dominant cost of spawning a process.
+   Ownership moves keep pages untouched too: a stretch of a range moves
+   by splitting the range at the stretch's bounds and giving the stretch
+   the new owner, and touching neighbours with one owner merge, so the
+   number of ranges stays O(processes) however much is drained. *)
 type range_info = {
   r_first : int;
   r_count : int;
-  r_owner : node;
-  mutable r_materialized : int;
-      (** pages of this range that now have a per-page entry *)
+  mutable r_owner : node;
+  mutable r_touched : int;
+      (** at least the number of the range's pages that have an entry;
+          0 means none has one, so a walk over the range needs no table
+          probe *)
 }
 
 type observation =
@@ -53,6 +60,9 @@ type t = {
           without one, obs events stamp 0 *)
   pages : (int, entry) Hashtbl.t;
   mutable ranges : range_info array;  (** sorted by [r_first], disjoint *)
+  mutable strays : int list;
+      (** pages given an entry while outside every range
+          ({!register_page}, {!register_alias}) *)
   mutable observer : (observation -> unit) option;
   st : stats;
 }
@@ -70,6 +80,7 @@ let create ?(handler_latency_s = 50e-6) ?(batch = false) ?(obs = Obs.noop)
     now;
     pages = Hashtbl.create 1024;
     ranges = [||];
+    strays = [];
     observer = None;
     st =
       { local_hits = 0; remote_fetches = 0; invalidations = 0;
@@ -84,26 +95,67 @@ let check_node t node =
   if node < 0 || node >= t.nodes then
     invalid_arg (Printf.sprintf "Hdsm: unknown node %d" node)
 
-(* Binary search for the range containing [page]. *)
-let find_range t page =
-  let lo = ref 0 and hi = ref (Array.length t.ranges - 1) in
-  let found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let r = t.ranges.(mid) in
-    if page < r.r_first then hi := mid - 1
-    else if page >= r.r_first + r.r_count then lo := mid + 1
-    else found := Some r
-  done;
-  !found
+(* Binary search for the index of the range containing [page], or -1. *)
+let range_index t page =
+  let rec go lo hi =
+    if lo > hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let r = t.ranges.(mid) in
+      if page < r.r_first then go lo (mid - 1)
+      else if page >= r.r_first + r.r_count then go (mid + 1) hi
+      else mid
+  in
+  go 0 (Array.length t.ranges - 1)
 
-let registered t page = Hashtbl.mem t.pages page || find_range t page <> None
+let registered t page = Hashtbl.mem t.pages page || range_index t page >= 0
+
+(* Fold touching neighbours with the same owner into one range. *)
+let rec merge = function
+  | a :: b :: rest when a.r_owner = b.r_owner && a.r_first + a.r_count = b.r_first
+    ->
+    merge
+      ({ a with r_count = a.r_count + b.r_count;
+                r_touched = a.r_touched + b.r_touched }
+      :: rest)
+  | a :: rest -> a :: merge rest
+  | [] -> []
+
+(* Give the pages [a, b) of range [i], [touched] of which have an entry,
+   the default owner [owner]: split the range at [a] and [b] and merge
+   the pieces into touching neighbours with the same owner. A piece left
+   on either side keeps the rest of the range's touched count as its
+   bound. *)
+let set_default t i ~a ~b ~owner ~touched =
+  let r = t.ranges.(i) in
+  let stop = r.r_first + r.r_count in
+  let rest = r.r_touched - touched in
+  let n = Array.length t.ranges in
+  let lo = max 0 (i - 1) and hi = min (n - 1) (i + 1) in
+  let piece first stop r_owner r_touched after =
+    if first < stop then
+      { r_first = first; r_count = stop - first; r_owner; r_touched } :: after
+    else after
+  in
+  let window =
+    Array.to_list (Array.sub t.ranges lo (i - lo))
+    @ piece r.r_first a r.r_owner rest
+        (piece a b owner touched
+           (piece b stop r.r_owner rest
+              (Array.to_list (Array.sub t.ranges (i + 1) (hi - i)))))
+  in
+  t.ranges <-
+    Array.concat
+      [ Array.sub t.ranges 0 lo; Array.of_list (merge window);
+        Array.sub t.ranges (hi + 1) (n - hi - 1) ]
 
 let register_page t ~page ~owner =
   check_node t owner;
-  if not (registered t page) then
+  if not (registered t page) then begin
     Hashtbl.replace t.pages page
-      { owner; copies = bit owner; exclusive = true; aliased = false }
+      { owner; copies = bit owner; exclusive = true; aliased = false };
+    t.strays <- page :: t.strays
+  end
 
 let register_range t ~(range : Memsys.Page.range) ~owner =
   check_node t owner;
@@ -128,16 +180,22 @@ let register_range t ~(range : Memsys.Page.range) ~owner =
     match !uncovered with
     | [] -> ()
     | intervals ->
+      (* An uncovered page can have an entry only as a stray. *)
+      let strays_in a b =
+        List.fold_left
+          (fun n p -> if a <= p && p < b then n + 1 else n)
+          0 t.strays
+      in
       let infos =
         List.rev_map
           (fun (a, b) ->
             { r_first = a; r_count = b - a; r_owner = owner;
-              r_materialized = 0 })
+              r_touched = strays_in a b })
           intervals
       in
       let ranges = Array.append t.ranges (Array.of_list infos) in
       Array.sort (fun a b -> compare a.r_first b.r_first) ranges;
-      t.ranges <- ranges
+      t.ranges <- Array.of_list (merge (Array.to_list ranges))
   end
 
 let register_alias t ~page =
@@ -149,33 +207,36 @@ let register_alias t ~page =
          "Hdsm.register_alias: page %d already registered as a data page"
          page)
   | None ->
-    if find_range t page <> None then
+    if range_index t page >= 0 then
       invalid_arg
         (Printf.sprintf
            "Hdsm.register_alias: page %d already covered by a data range"
            page)
-    else
+    else begin
       Hashtbl.replace t.pages page
         { owner = 0; copies = bit t.nodes - 1; exclusive = false;
-          aliased = true }
+          aliased = true };
+      t.strays <- page :: t.strays
+    end
 
 (* Hot path of every access: already-materialized pages hit the table
    without allocating an option on the way out. *)
 let entry t page =
   match Hashtbl.find t.pages page with
   | e -> e
-  | exception Not_found -> begin
-    match find_range t page with
-    | Some r ->
+  | exception Not_found ->
+    let i = range_index t page in
+    if i < 0 then invalid_arg (Printf.sprintf "Hdsm: unknown page %d" page)
+    else begin
+      let r = t.ranges.(i) in
       let e =
         { owner = r.r_owner; copies = bit r.r_owner; exclusive = true;
           aliased = false }
       in
       Hashtbl.replace t.pages page e;
-      r.r_materialized <- r.r_materialized + 1;
+      r.r_touched <- r.r_touched + 1;
       e
-    | None -> invalid_arg (Printf.sprintf "Hdsm: unknown page %d" page)
-  end
+    end
 
 let state_of t ~page node =
   let e = entry t page in
@@ -330,33 +391,34 @@ let take_run pages =
     let count, rest = go first 1 rest in
     (first, count, rest)
 
-(* The whole run lies in one untouched lazy range owned by the accessing
-   node: every page is a local hit and would materialize to the default
-   entry anyway, so sweep it without creating per-page entries. The
-   [Hashtbl.mem] probes guard the (never-seen in practice) case of a page
-   individually registered inside a range's interval. *)
+(* No page of [page, stop) has an entry. *)
+let rec no_entry t page stop =
+  page >= stop || ((not (Hashtbl.mem t.pages page)) && no_entry t (page + 1) stop)
+
+(* The whole run lies in one lazy range owned by the accessing node and
+   no page of it has an entry: every page is a local hit and would
+   materialize to the default entry anyway, so sweep it without creating
+   per-page entries. A range with no touched page needs no probe. *)
 let owner_sweep t ~node ~first ~count ~write =
-  match find_range t first with
-  | Some r
-    when r.r_owner = node
-         && r.r_materialized = 0
-         && first + count <= r.r_first + r.r_count ->
-    let clean = ref true in
-    for page = first to first + count - 1 do
-      if Hashtbl.mem t.pages page then clean := false
-    done;
-    if !clean then begin
-      (match t.observer with
-      | None -> ()
-      | Some f ->
-        for page = first to first + count - 1 do
-          f (Obs_access { node; page; write })
-        done);
-      t.st.local_hits <- t.st.local_hits + count;
-      true
-    end
-    else false
-  | Some _ | None -> false
+  let i = range_index t first in
+  let clean =
+    i >= 0
+    &&
+    let r = t.ranges.(i) in
+    r.r_owner = node
+    && first + count <= r.r_first + r.r_count
+    && (r.r_touched = 0 || no_entry t first (first + count))
+  in
+  if clean then begin
+    (match t.observer with
+    | None -> ()
+    | Some f ->
+      for page = first to first + count - 1 do
+        f (Obs_access { node; page; write })
+      done);
+    t.st.local_hits <- t.st.local_hits + count
+  end;
+  clean
 
 (* One DSM call per phase instead of one per page: the fold over a
    phase's page list runs inside the service, resolving each page's
@@ -407,11 +469,11 @@ let pages_owned_by t node =
         if (not e.aliased) && e.owner = node then page :: acc else acc)
       t.pages []
   in
-  (* Unmaterialized pages still hold their range's default ownership. *)
+  (* Pages without an entry hold their range's default ownership. *)
   let default_owned =
     Array.to_list t.ranges
     |> List.concat_map (fun r ->
-           if r.r_owner <> node || r.r_materialized = r.r_count then []
+           if r.r_owner <> node then []
            else
              List.filter
                (fun page -> not (Hashtbl.mem t.pages page))
@@ -419,92 +481,142 @@ let pages_owned_by t node =
   in
   List.sort compare (materialized @ default_owned)
 
+(* A range's pages that have an entry of their own — materialized since,
+   or registered before the range — count through their entry only. *)
 let residual_pages t ~home =
-  let materialized =
-    Hashtbl.fold
-      (fun _ e acc -> if (not e.aliased) && e.owner = home then acc + 1 else acc)
-      t.pages 0
+  let in_ranges =
+    Array.fold_left
+      (fun acc r -> if r.r_owner = home then acc + r.r_count else acc)
+      0 t.ranges
   in
-  Array.fold_left
-    (fun acc r ->
-      if r.r_owner = home then acc + (r.r_count - r.r_materialized) else acc)
-    materialized t.ranges
+  Hashtbl.fold
+    (fun page e acc ->
+      let acc = if (not e.aliased) && e.owner = home then acc + 1 else acc in
+      let i = range_index t page in
+      if i >= 0 && t.ranges.(i).r_owner = home then acc - 1 else acc)
+    t.pages in_ranges
 
 let drain t ~from_ ~to_ =
   check_node t from_;
   check_node t to_;
-  let pages = pages_owned_by t from_ in
+  let pages = residual_pages t ~home:from_ in
   (* The bulk transfer is one message stream from the old home: a single
      ordering edge covers every page it carries. *)
-  (match (t.observer, pages) with
-  | Some f, _ :: _ -> f (Obs_sync { src = from_; dst = to_ })
+  (match t.observer with
+  | Some f when pages > 0 -> f (Obs_sync { src = from_; dst = to_ })
   | _ -> ());
-  List.iter
-    (fun page ->
-      let e = entry t page in
-      e.owner <- to_;
-      e.copies <- bit to_;
-      e.exclusive <- true;
-      t.st.remote_fetches <- t.st.remote_fetches + 1;
-      t.st.bytes_transferred <- t.st.bytes_transferred + Memsys.Page.size;
-      t.st.protocol_msgs <- t.st.protocol_msgs + 1)
-    pages;
-  float_of_int (List.length pages) *. page_latency t
+  Hashtbl.iter
+    (fun _ e ->
+      if (not e.aliased) && e.owner = from_ then begin
+        e.owner <- to_;
+        e.copies <- bit to_;
+        e.exclusive <- true
+      end)
+    t.pages;
+  Array.iter (fun r -> if r.r_owner = from_ then r.r_owner <- to_) t.ranges;
+  t.ranges <- Array.of_list (merge (Array.to_list t.ranges));
+  t.st.remote_fetches <- t.st.remote_fetches + pages;
+  t.st.bytes_transferred <- t.st.bytes_transferred + (pages * Memsys.Page.size);
+  t.st.protocol_msgs <- t.st.protocol_msgs + pages;
+  float_of_int pages *. page_latency t
+
+(* Account one page moving from [src] to [to_]. *)
+let transfer t ~src ~to_ =
+  (match t.observer with
+  | None -> ()
+  | Some f -> f (Obs_sync { src; dst = to_ }));
+  t.st.remote_fetches <- t.st.remote_fetches + 1;
+  t.st.bytes_transferred <- t.st.bytes_transferred + Memsys.Page.size
 
 (* Move one page to [to_] if it is not already there; returns true when a
-   transfer happened. Byte/fetch accounting only — the caller charges
-   latency per page or per batch. *)
+   transfer happened. *)
 let move_page t to_ page =
   let e = entry t page in
   if e.aliased || e.owner = to_ then false
   else begin
-    (match t.observer with
-    | None -> ()
-    | Some f -> f (Obs_sync { src = e.owner; dst = to_ }));
+    transfer t ~src:e.owner ~to_;
     e.owner <- to_;
     e.copies <- bit to_;
     e.exclusive <- true;
-    t.st.remote_fetches <- t.st.remote_fetches + 1;
-    t.st.bytes_transferred <- t.st.bytes_transferred + Memsys.Page.size;
     true
   end
 
-let drain_page t to_ acc page =
-  if move_page t to_ page then begin
-    t.st.protocol_msgs <- t.st.protocol_msgs + 1;
-    acc +. page_latency t
-  end
-  else acc
-
-(* Move the contiguous segment to [to_]; pages already there (or aliased)
-   are skipped. One protocol operation per segment when batching. *)
-let move_segment t ~to_ (first, count) =
-  if t.batch then begin
-    let moved = ref 0 in
-    for page = first to first + count - 1 do
-      if move_page t to_ page then incr moved
-    done;
-    if !moved = 0 then (0, 0.0)
-    else begin
-      t.st.protocol_msgs <- t.st.protocol_msgs + 1;
-      (!moved, batch_latency t ~pages:!moved)
-    end
-  end
-  else begin
-    let moved = ref 0 and lat = ref 0.0 in
-    for page = first to first + count - 1 do
-      if move_page t to_ page then begin
+(* The one ownership walk: move every page of the contiguous segment to
+   [to_], in page order; pages already there and aliased pages stay. A
+   page with an entry moves by itself. The pages of a range that have no
+   entry move together: the range's stretch inside the segment takes
+   [to_] as its default owner (a page with an entry ignores that
+   default), and a stretch of a range with no touched page is walked
+   without table probes. Each moved page still counts once in the stats
+   and sends one [Obs_sync] from its old owner. With [per_page], each
+   moved page is also one protocol message and adds [page_latency] to
+   [acc], one page at a time. Returns the number of pages moved and the
+   new [acc]. *)
+let move_span t ~to_ ~per_page ~acc (first, count) =
+  let latency = page_latency t in
+  let acc = ref acc and moved = ref 0 in
+  let stop = first + count in
+  let page = ref first in
+  while !page < stop do
+    let i = range_index t !page in
+    (* Outside every range a page moves by its own entry; an unknown page
+       raises there. *)
+    let upto, src, probe =
+      if i < 0 then (!page + 1, to_, false)
+      else
+        let r = t.ranges.(i) in
+        (min stop (r.r_first + r.r_count), r.r_owner, r.r_touched > 0)
+    in
+    let touched = ref 0 in
+    for p = !page to upto - 1 do
+      let moves =
+        if i < 0 then move_page t to_ p
+        else if probe && Hashtbl.mem t.pages p then begin
+          incr touched;
+          move_page t to_ p
+        end
+        else if src <> to_ then begin
+          transfer t ~src ~to_;
+          true
+        end
+        else false
+      in
+      if moves then begin
         incr moved;
-        t.st.protocol_msgs <- t.st.protocol_msgs + 1;
-        lat := !lat +. page_latency t
+        if per_page then begin
+          t.st.protocol_msgs <- t.st.protocol_msgs + 1;
+          acc := !acc +. latency
+        end
       end
     done;
-    (!moved, !lat)
+    if i >= 0 && src <> to_ then
+      set_default t i ~a:!page ~b:upto ~owner:to_ ~touched:!touched;
+    page := upto
+  done;
+  (!moved, !acc)
+
+(* Move the contiguous segment to [to_]: one protocol operation over the
+   pages actually moved when batching, else one per page. *)
+let move_segment t ~to_ seg =
+  if t.batch then begin
+    let moved, _ = move_span t ~to_ ~per_page:false ~acc:0.0 seg in
+    if moved = 0 then (0, 0.0)
+    else begin
+      t.st.protocol_msgs <- t.st.protocol_msgs + 1;
+      (moved, batch_latency t ~pages:moved)
+    end
   end
+  else move_span t ~to_ ~per_page:true ~acc:0.0 seg
 
 let drain_pages t ~pages ~to_ =
   check_node t to_;
-  List.fold_left (drain_page t to_) 0.0 pages
+  let rec go acc = function
+    | [] -> acc
+    | pages ->
+      let first, count, rest = take_run pages in
+      go (snd (move_span t ~to_ ~per_page:true ~acc (first, count))) rest
+  in
+  go 0.0 pages
 
 (* Drain a chunk of contiguous page segments (one migration-protocol
    batch), accumulating either the per-page latency exactly as
@@ -514,20 +626,11 @@ let drain_seq t ~segments ~to_ =
   check_node t to_;
   if t.batch then
     List.fold_left
-      (fun acc seg ->
-        let _, lat = move_segment t ~to_ seg in
-        acc +. lat)
+      (fun acc seg -> acc +. snd (move_segment t ~to_ seg))
       0.0 segments
   else
-    (* Per-page accumulation in the exact order [drain_pages] would use
-       over the flattened list — bit-identical to the unbatched model. *)
     List.fold_left
-      (fun acc (first, count) ->
-        let acc = ref acc in
-        for page = first to first + count - 1 do
-          acc := drain_page t to_ !acc page
-        done;
-        !acc)
+      (fun acc seg -> snd (move_span t ~to_ ~per_page:true ~acc seg))
       0.0 segments
 
 (* Push pages toward [to_] ahead of demand: the migration-time

@@ -73,7 +73,8 @@ val register_range : t -> range:Memsys.Page.range -> owner:node -> unit
     working set costs nothing until pages are actually accessed. Pages
     already covered by an earlier range keep their first registration
     (adjacent sections may share a boundary page); only the uncovered
-    remainder is recorded. *)
+    remainder is recorded. A page registered earlier with {!register_page}
+    or {!register_alias} keeps its own state too. *)
 
 val register_alias : t -> page:int -> unit
 (** Mark a page as per-ISA aliased (text / vDSO): every node always has a
@@ -116,12 +117,16 @@ val pages_owned_by : t -> node -> int list
 
 val residual_pages : t -> home:node -> int
 (** Number of pages still owned by [home] — the residual dependencies that
-    keep a migrated process tethered to its source kernel. *)
+    keep a migrated process tethered to its source kernel. Always
+    [List.length (pages_owned_by t home)]: each page counts once, whatever
+    order its page and range registrations came in. The cost grows with
+    the number of per-page entries and ranges, not with range lengths. *)
 
 val drain : t -> from_:node -> to_:node -> float
 (** Bulk-transfer every page owned by [from_] to [to_]; returns total
     transfer latency. Used when the last thread of an application leaves a
-    kernel. *)
+    kernel. Untouched pages of a range owned by [from_] move by giving the
+    range the new owner. *)
 
 val drain_pages : t -> pages:int list -> to_:node -> float
 (** Bulk-transfer the given pages (wherever they are owned) to [to_];
@@ -133,7 +138,18 @@ val drain_seq : t -> segments:(int * int) list -> to_:node -> float
     [(first, count)] like {!drain_pages} over the flattened page list.
     With batching, each segment is one coalesced protocol operation over
     the pages actually moved; without, the per-page accounting is
-    bit-identical to {!drain_pages}. *)
+    bit-identical to {!drain_pages}: each moved page adds one
+    [page_latency] to the sum, in page order.
+
+    Pages move by range, not one by one. A segment's pages that have no
+    per-page entry (never touched since registration) take [to_] as
+    their range's default owner: the range is split at the segment's
+    bounds, and pieces that touch a neighbour with the same owner merge
+    into it, so a drained process leaves one range behind, not one entry
+    per page. Pages with an entry move one by one. Either way the stats
+    count every moved page and the observer sees one [Obs_sync] per moved
+    page, in page order. {!drain_pages}, {!prefetch} and {!drain} move
+    pages the same way. *)
 
 val prefetch : t -> pages:int list -> to_:node -> float
 (** Push [pages] to [to_] ahead of demand (the migration working-set
