@@ -29,7 +29,7 @@ let simulate ~consolidate =
         let proc =
           Kernel.Popcorn.spawn pop ~container ~node:0 ~name
             ~footprint_bytes:spec.Workload.Spec.footprint_bytes
-            ~thread_phases:[ [] ] ()
+            ~thread_phases:[ Seq.empty ] ()
         in
         List.iter2
           (fun (th : Kernel.Process.thread) phases ->

@@ -157,7 +157,7 @@ let make_cluster ?machines ?faults ?dsm_batch ?prefetch () =
 
 let deploy cluster (binary : binary) ~spec ?(threads = 1)
     ?(quantum_instructions = 1e8) ~node () =
-  let placeholder = List.init threads (fun _ -> []) in
+  let placeholder = List.init threads (fun _ -> Seq.empty) in
   let proc =
     Kernel.Popcorn.spawn cluster.pop ~container:cluster.container ~node
       ~name:spec.Workload.Spec.name ~binary

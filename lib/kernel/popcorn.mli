@@ -141,11 +141,11 @@ val spawn :
   ?binary:Compiler.Toolchain.t ->
   ?transform_latency:(Isa.Arch.t -> float) ->
   footprint_bytes:int ->
-  thread_phases:Process.phase list list ->
+  thread_phases:Process.phase Seq.t list ->
   unit ->
   Process.t
 (** Load the image on the node (heterogeneous loader), create one thread
-    per phase list, register pages with the DSM. If [binary] is given its
+    per phase sequence, register pages with the DSM. If [binary] is given its
     median stack-transformation cost per source ISA is measured through
     the real transformation runtime unless [transform_latency] overrides
     it. The process does not run until {!start}. *)

@@ -1,7 +1,7 @@
 type phase = {
   instructions : float;
   category : Isa.Cost_model.category;
-  pages : int list;
+  pages : Memsys.Page.range list;
   writes : bool;
 }
 
@@ -11,7 +11,7 @@ type thread = {
   tid : int;
   mutable node : int;
   mutable status : status;
-  mutable remaining : phase list;
+  mutable remaining : phase Seq.t;
   mutable migrate_to : int option;
   continuation : Continuation.t;
   mutable migrations : int;
@@ -51,15 +51,6 @@ let make ~pid ~name ~home ?binary ~aspace ~data_pages ~threads
     finished_at = None; aborted = false }
 
 let alive t = List.exists (fun th -> th.status <> Done) t.threads
-
-let total_instructions t =
-  List.fold_left
-    (fun acc th ->
-      acc
-      + int_of_float
-          (List.fold_left (fun a p -> a +. p.instructions) 0.0 th.remaining))
-    0 t.threads
-  |> float_of_int
 
 let request_migration t ~to_node =
   List.iter

@@ -5,12 +5,17 @@
     migration points at most one scheduling quantum apart, so phase
     boundaries are exactly the places where a pending migration request
     takes effect. Each phase carries the pages it touches, which drives
-    the hDSM on-demand page migration. *)
+    the hDSM on-demand page migration. A thread's phases are a lazy
+    sequence: a phase is built when the thread reaches it, so a spawned
+    process holds no phase list. *)
 
 type phase = {
   instructions : float;
   category : Isa.Cost_model.category;
-  pages : int list;  (** data pages accessed during the phase *)
+  pages : Memsys.Page.range list;
+      (** data pages accessed during the phase, in access order, as
+          maximal ascending runs: no run starts where the one before it
+          ends *)
   writes : bool;  (** whether the accesses include stores *)
 }
 
@@ -20,7 +25,8 @@ type thread = {
   tid : int;
   mutable node : int;
   mutable status : status;
-  mutable remaining : phase list;
+  mutable remaining : phase Seq.t;
+      (** the phases still to run; forcing it rebuilds the next phase *)
   mutable migrate_to : int option;
       (** pending scheduler request, honoured at the next phase boundary *)
   continuation : Continuation.t;
@@ -48,7 +54,7 @@ type t = {
           processes — the scheduler re-admits or fails the job instead *)
 }
 
-val make_thread : tid:int -> node:int -> phases:phase list -> thread
+val make_thread : tid:int -> node:int -> phases:phase Seq.t -> thread
 
 val make :
   pid:int ->
@@ -63,8 +69,6 @@ val make :
   t
 
 val alive : t -> bool
-val total_instructions : t -> float
-(** Remaining work across all threads. *)
 
 val request_migration : t -> to_node:int -> unit
 (** Flag every thread of the process (the shared vDSO page write). *)

@@ -163,7 +163,7 @@ let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
   in
   let spawn_job (job : Job.t) node =
     let spec = job.Job.spec in
-    let placeholder = List.init job.Job.threads (fun _ -> []) in
+    let placeholder = List.init job.Job.threads (fun _ -> Seq.empty) in
     let proc =
       Kernel.Popcorn.spawn pop ~container ~node ~name:spec.Workload.Spec.name
         ~footprint_bytes:spec.Workload.Spec.footprint_bytes

@@ -70,16 +70,39 @@ let spec bench cls =
     footprint_bytes = pick cls footprints;
   }
 
-(* [nth] indexes a flat page sequence of length [n]; the sampling walk is
-   defined purely over flat indices, so any backing with the same flattened
-   contents yields the same samples. *)
-let sample_pages ~n ~nth ~phase_index ~per_phase =
-  if n = 0 then []
-  else
-    let start = phase_index * per_phase mod n in
-    List.init (min per_phase n) (fun i -> nth ((start + i) mod n))
+(* The pages of one phase: the flat window [start, start+len) mod n over
+   the concatenated [data_pages] ([n] pages in all), as maximal ascending
+   runs. Each range contributes a stretch of consecutive pages, and a
+   stretch joins the run before it when it starts where that run ends,
+   so the runs are exactly the ascending runs of the window's page list. *)
+let window_runs data_pages ~n ~start ~len =
+  let add acc first count =
+    match acc with
+    | { Memsys.Page.first = f; count = c } :: rest when f + c = first ->
+      { Memsys.Page.first = f; count = c + count } :: rest
+    | _ -> { Memsys.Page.first; count } :: acc
+  in
+  (* [base] is the flat index of the first page of [ranges]. *)
+  let rec take acc pos left ranges base =
+    if left = 0 then List.rev acc
+    else
+      match ranges with
+      | [] -> take acc 0 left data_pages 0
+      | (r : Memsys.Page.range) :: rest ->
+        let stop = base + r.Memsys.Page.count in
+        if pos >= stop then take acc pos left rest stop
+        else
+          let k = min left (stop - pos) in
+          take
+            (add acc (r.Memsys.Page.first + pos - base) k)
+            (pos + k) (left - k) rest stop
+  in
+  if n = 0 then [] else take [] (start mod n) (min len n) data_pages 0
 
-let phases_from_pages t ~threads ~quantum_instructions ~n ~nth =
+(* One lazy phase sequence per thread: phase [i] of thread [tid] samples
+   the 16-page window at flat index [(tid * n_phases + i) * 16], and is
+   rebuilt each time the sequence is forced there. *)
+let phases_of_ranges t ~threads ~quantum_instructions ~data_pages =
   if threads <= 0 then invalid_arg "Spec.phases: threads <= 0";
   if quantum_instructions <= 0.0 then
     invalid_arg "Spec.phases: non-positive quantum";
@@ -89,33 +112,36 @@ let phases_from_pages t ~threads ~quantum_instructions ~n ~nth =
   in
   let phase_instr = per_thread /. float_of_int n_phases in
   let writes = t.category <> Isa.Cost_model.Compute in
+  let n = Memsys.Page.ranges_count data_pages in
+  let per_phase = 16 in
   List.init threads (fun tid ->
-      List.init n_phases (fun i ->
+      Seq.init n_phases (fun i ->
           {
             Kernel.Process.instructions = phase_instr;
             category = t.category;
             pages =
-              sample_pages ~n ~nth ~phase_index:((tid * n_phases) + i)
-                ~per_phase:16;
+              window_runs data_pages ~n
+                ~start:(((tid * n_phases) + i) * per_phase)
+                ~len:per_phase;
             writes;
           }))
 
 let phases t ~threads ~quantum_instructions =
   let n_pages = Memsys.Page.count ~bytes:t.footprint_bytes in
-  let n = min n_pages 65536 in
-  phases_from_pages t ~threads ~quantum_instructions ~n ~nth:Fun.id
+  phases_of_ranges t ~threads ~quantum_instructions
+    ~data_pages:[ { Memsys.Page.first = 0; count = min n_pages 65536 } ]
 
-(* Phase expansion is pure in (spec, threads, quantum, page ranges) and
-   the records it builds are immutable — threads only ever reassign
-   their [remaining] list pointer, never a phase — so the lists are
-   safely shared across processes and domains. Every ensemble re-spawn
-   of the same (program, input class) pays the List.init walk otherwise;
-   memoize it. Mutex-guarded with FIFO eviction, same discipline as
-   {!Kernel.Popcorn.latency_cache}: a concurrent miss at worst
-   duplicates the (deterministic) expansion, never corrupts the table. *)
+(* Phase expansion is pure in (spec, threads, quantum, page ranges): a
+   sequence rebuilds the same immutable phases each time it is forced,
+   and threads only ever reassign their [remaining] pointer, so the
+   sequences are safely shared across processes and domains. An entry
+   holds one closure per thread, never a phase. Mutex-guarded with FIFO
+   eviction, same discipline as {!Kernel.Popcorn.latency_cache}: a
+   concurrent miss at worst duplicates the (deterministic) expansion,
+   never corrupts the table. *)
 let phase_memo :
     ( string * int * float * Memsys.Page.range list,
-      Kernel.Process.phase list list )
+      Kernel.Process.phase Seq.t list )
     Hashtbl.t =
   Hashtbl.create 16
 
@@ -156,11 +182,7 @@ let phases_for_process t ~threads ~quantum_instructions ~data_pages =
   match cached with
   | Some ph -> ph
   | None ->
-    let ph =
-      phases_from_pages t ~threads ~quantum_instructions
-        ~n:(Memsys.Page.ranges_count data_pages)
-        ~nth:(Memsys.Page.ranges_nth data_pages)
-    in
+    let ph = phases_of_ranges t ~threads ~quantum_instructions ~data_pages in
     locked (fun () ->
         if not (Hashtbl.mem phase_memo key) then begin
           Hashtbl.replace phase_memo key ph;

@@ -33,24 +33,36 @@ val classes : cls list
 val spec : bench -> cls -> t
 
 val phases :
-  t -> threads:int -> quantum_instructions:float -> Kernel.Process.phase list list
-(** Split the workload into per-thread phase lists: each phase is one
-    inter-migration-point stretch (~[quantum_instructions]) and touches a
-    rotating sample of the footprint's pages. The page numbers are
-    process-relative (0-based); {!Kernel.Popcorn.spawn} remaps nothing —
-    callers must offset them by the process's first data page. *)
+  t -> threads:int -> quantum_instructions:float -> Kernel.Process.phase Seq.t list
+(** Split the workload into one lazy phase sequence per thread (see
+    {!Kernel.Process.phase}): each phase is one inter-migration-point
+    stretch (~[quantum_instructions]) and touches a rotating 16-page
+    sample of the footprint's first 65536 pages. Phase [i] of thread
+    [tid] samples the flat window [\[s, s+16) mod n] with
+    [s = (tid * n_phases + i) * 16], carried as the window's maximal
+    ascending runs. The page numbers are process-relative (0-based);
+    {!Kernel.Popcorn.spawn} remaps nothing — callers must offset them by
+    the process's first data page. A sequence builds each phase when it
+    is forced, so the whole split costs O(threads) until it is walked.
+    Raises [Invalid_argument] at once on [threads <= 0] or a
+    non-positive quantum. *)
 
 val phases_for_process :
   t ->
   threads:int ->
   quantum_instructions:float ->
   data_pages:Memsys.Page.range list ->
-  Kernel.Process.phase list list
-(** Like {!phases}, with page samples drawn from the process's actual DSM
-    pages (the loader's contiguous runs, indexed as one flat sequence).
-    Memoized per (name, threads, quantum, page ranges): the expansion is
-    pure and the phase records immutable, so repeated ensemble spawns of
-    the same (program, input class) share one list. Thread-safe. *)
+  Kernel.Process.phase Seq.t list
+(** Like {!phases}, with the sample windows drawn from the process's
+    actual DSM pages (the loader's contiguous runs, indexed as one flat
+    sequence of [n = ranges_count data_pages] pages; a window of
+    [min 16 n] pages, none when [n = 0]). Runs join across adjacent
+    ranges and across the wrap from the last page to the first when the
+    page numbers are consecutive. Memoized per (name, threads, quantum,
+    page ranges): the sequences are pure and the phase records
+    immutable, so repeated ensemble spawns of the same (program, input
+    class) share one entry, which holds one closure per thread.
+    Thread-safe. *)
 
 val phase_memo_clear : unit -> unit
 (** Drop every memoized phase expansion and reset the hit/miss counters. *)
