@@ -230,7 +230,10 @@ type ctrl_state = {
   op_scale_out : bool array;
   last_move : float array;
   alive : bool array;  (* controller's view of the nodes *)
-  arr_win : Sim.Ring.t array;  (* arrival times (float lane) *)
+  last_arr : float array;
+      (* latest routed arrival time ([neg_infinity] before the first):
+         arrivals are routed in nondecreasing time, so no arrival lies
+         in the window [now - window_s, now] iff this is before it *)
   lat_win : Sim.Ring.t array;  (* (resolve time, window bucket) *)
   win_counts : int array array;  (* per-service window histogram *)
   win_n : int array;
@@ -451,7 +454,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       op_scale_out = Array.make services false;
       last_move = Array.make services 0.0;
       alive = Array.make cfg.nodes true;
-      arr_win = Array.init services (fun _ -> Sim.Ring.create ());
+      last_arr = Array.make services neg_infinity;
       lat_win = Array.init services (fun _ -> Sim.Ring.create ());
       win_counts = Array.init services (fun _ -> Array.make win_buckets 0);
       win_n = Array.make services 0;
@@ -1052,7 +1055,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
   let route rid svc at isl =
     touch_ctrl isl;
     ctrl.arrived <- ctrl.arrived + 1;
-    if slo_aware then Sim.Ring.push ctrl.arr_win.(svc) at 0;
+    if slo_aware then ctrl.last_arr.(svc) <- at;
     Obs.incr obs "serve.arrived";
     let node = select_replica svc isl in
     if node < 0 then begin
@@ -1149,15 +1152,11 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       (land_cmd svc ctrl.gen.(svc) (Sim.Ring.create ()))
   in
   (* Sliding-window upkeep, O(1) amortized per request: pop expired
-     entries off the ring heads, keeping the per-service window
+     entries off the latency ring heads, keeping the per-service window
      histogram counts in step. *)
   let prune_windows now =
     let horizon = now -. cfg.window_s in
     for s = 0 to services - 1 do
-      let aw = ctrl.arr_win.(s) in
-      while (not (Sim.Ring.is_empty aw)) && Sim.Ring.peek_f aw < horizon do
-        ignore (Sim.Ring.pop aw)
-      done;
       let lw = ctrl.lat_win.(s) in
       while (not (Sim.Ring.is_empty lw)) && Sim.Ring.peek_f lw < horizon do
         let b = Sim.Ring.pop lw in
@@ -1253,7 +1252,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
         | Some p99 when p99 > cfg.slo_ms -> escalate s isl
         | _ ->
           if
-            Sim.Ring.is_empty ctrl.arr_win.(s)
+            ctrl.last_arr.(s) < now -. cfg.window_s
             && Sim.Ring.is_empty ctrl.lat_win.(s)
             && now -. ctrl.last_move.(s) >= cfg.window_s
           then park s isl
