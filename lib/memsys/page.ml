@@ -30,9 +30,3 @@ let range_mem r page = page >= r.first && page < r.first + r.count
 let range_pages r = List.init r.count (fun i -> r.first + i)
 let ranges_count rs = List.fold_left (fun acc r -> acc + r.count) 0 rs
 let ranges_pages rs = List.concat_map range_pages rs
-
-(* Page at flat index [i] of the concatenation of [rs], in order. *)
-let rec ranges_nth rs i =
-  match rs with
-  | [] -> invalid_arg "Page.ranges_nth: index out of bounds"
-  | r :: rest -> if i < r.count then r.first + i else ranges_nth rest (i - r.count)

@@ -42,8 +42,3 @@ val ranges_count : range list -> int
 
 val ranges_pages : range list -> int list
 (** Materialize all page numbers, in range order. *)
-
-val ranges_nth : range list -> int -> int
-(** Page number at flat index [i] of the concatenated ranges — equal to
-    [List.nth (ranges_pages rs) i] without building the list. Raises
-    [Invalid_argument] when out of bounds. *)
