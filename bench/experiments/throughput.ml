@@ -2,16 +2,11 @@
 
    Two questions, answered with wall-clock and GC evidence:
 
-   1. How fast does the streamed, allocation-light serving path push
-      requests end to end, and how does that compare to the list-based
-      architecture it replaced? The reference is not a reconstruction:
-      {!Legacy_serve} is the PR-7 implementation itself, vendored
-      verbatim — materialized trace, every arrival pre-scheduled as
-      its own calendar entry, per-node latencies and controller
-      windows as ever-growing lists, and an end-of-run merge-and-sort
-      for the percentiles. Requests per second of host time on the
-      same scenario is the figure of merit; the streamed path must
-      clear 10x.
+   1. Does one process push over a million requests end to end through
+      the streamed, allocation-light serving path, conserving every
+      request? The run is timed once and its requests per second of
+      host time printed; host cost is perfbench's to gate, not this
+      harness's.
 
    2. Is the streamed path's memory really independent of trace
       length? A 64x longer run must not allocate meaningfully more
@@ -25,20 +20,7 @@
    req/s on/off over 340 s across 32 nodes, light uniform per-request
    demand (2e6 instructions, sigma 0) so the servers keep up and the
    bench measures the serving machinery — not queueing collapse, and
-   not the lognormal demand sampler, whose transcendental cost is
-   identical in both contenders and would only dilute the ratio under
-   test. *)
-
-(* Both contenders run on a single domain, so process CPU time is the
-   honest clock (and immune to host scheduling noise). Each contender
-   is still timed three times and compared on medians: the list-based
-   path's run-to-run spread is ~+/-20% (GC major slices land at
-   different points in its ever-growing lists), which a single sample
-   would fold into the ratio under test. *)
-let wall_now () = Sys.time ()
-
-let median3 a b c =
-  Float.max (Float.min a b) (Float.min (Float.max a b) c)
+   not the lognormal demand sampler. *)
 
 let big_source =
   Sched.Arrival.bursty_source ~rate_high:400.0 ~rate_low:2.0 ~seed:42
@@ -68,28 +50,20 @@ let words_per_request cfg limit =
   (r, words /. float_of_int (max 1 r.Sched.Service.arrived))
 
 let run ppf =
-  Shape.section ppf "Serving throughput: streamed vs list-based (non-paper)";
-  (* The streamed acceptance run: >= 1M requests in one process. *)
-  let time_streamed () =
-    let t0 = wall_now () in
-    let r = Sched.Service.run ~domains:1 big_cfg in
-    (r, wall_now () -. t0)
-  in
-  let big, s1 = time_streamed () in
-  (* Sample the watermark here, before the legacy contender materializes
-     its trace and inflates the process heap (the repeat timing runs are
-     the same constant-memory path and leave it unchanged). *)
+  Shape.section ppf "Serving throughput: the streamed path at scale (non-paper)";
+  (* The streamed acceptance run: >= 1M requests in one process. It
+     runs on a single domain, so process CPU time is the honest clock
+     (and immune to host scheduling noise). *)
+  let t0 = Sys.time () in
+  let big = Sched.Service.run ~domains:1 big_cfg in
+  let streamed_s = Sys.time () -. t0 in
   let streamed_top_mb =
     float_of_int (Gc.quick_stat ()).Gc.top_heap_words *. 8.0 /. 1e6
   in
-  let _, s2 = time_streamed () in
-  let _, s3 = time_streamed () in
-  let streamed_s = median3 s1 s2 s3 in
-  let streamed_rps = float_of_int big.Sched.Service.arrived /. streamed_s in
   Format.fprintf ppf
-    "  streamed    %8d requests in %6.2fs  (%9.0f req/s, p99 %.2fms, \
-     median of 3)@."
-    big.Sched.Service.arrived streamed_s streamed_rps
+    "  streamed    %8d requests in %6.2fs  (%9.0f req/s, p99 %.2fms)@."
+    big.Sched.Service.arrived streamed_s
+    (float_of_int big.Sched.Service.arrived /. streamed_s)
     big.Sched.Service.p99_ms;
   Shape.check ppf "acceptance scenario serves >= 1,000,000 requests"
     (big.Sched.Service.arrived >= 1_000_000);
@@ -101,41 +75,6 @@ let run ppf =
     "  (top-of-heap %.1f MB after the million-request run)@." streamed_top_mb;
   Shape.check ppf "million-request run peaks under 256 MB of heap"
     (streamed_top_mb < 256.0);
-  (* The PR-7 path on the same scenario, timed from the same starting
-     point (the source): it must first materialize the trace it needs
-     up front — that is part of what the streaming rewrite removed, so
-     each timed repetition includes its own materialization. *)
-  let time_legacy () =
-    let t0 = wall_now () in
-    let ref_trace = Sched.Arrival.materialize big_source in
-    let legacy_cfg =
-      {
-        (Legacy_serve.default ~nodes:32 ~seed:42 ~trace:ref_trace) with
-        Legacy_serve.policy = Legacy_serve.Static_x86;
-        demand_instructions = 2e6;
-        demand_sigma = 0.0;
-      }
-    in
-    let r = Legacy_serve.run ~domains:1 legacy_cfg in
-    (r, wall_now () -. t0)
-  in
-  let legacy, l1 = time_legacy () in
-  let _, l2 = time_legacy () in
-  let _, l3 = time_legacy () in
-  let legacy_s = median3 l1 l2 l3 in
-  let ref_rps = float_of_int legacy.Legacy_serve.arrived /. legacy_s in
-  Format.fprintf ppf
-    "  list-based  %8d requests in %6.2fs  (%9.0f req/s, p99 %.2fms, \
-     median of 3)@."
-    legacy.Legacy_serve.arrived legacy_s ref_rps
-    legacy.Legacy_serve.p99_ms;
-  Shape.check ppf "both paths serve the same requests"
-    (legacy.Legacy_serve.arrived = big.Sched.Service.arrived
-    && legacy.Legacy_serve.responded = big.Sched.Service.responded);
-  Shape.check ppf
-    (Printf.sprintf "streamed path >= 10x the PR-7 list-based path (%.1fx)"
-       (streamed_rps /. ref_rps))
-    (streamed_rps >= 10.0 *. ref_rps);
   (* Allocation flatness: words allocated per request must not grow
      with trace length (64x more requests, same per-request cost), and
      the heap watermark must stay in a constant band. *)

@@ -177,10 +177,27 @@ let trace_path base policy_name =
   | Some stem -> Printf.sprintf "%s-%s.json" stem policy_name
   | None -> Printf.sprintf "%s-%s" base policy_name
 
-let write_file path contents =
-  let oc = open_out path in
+(* An output path the CLI cannot write is a usage error naming its
+   flag (exit 2), not an uncaught [Sys_error]. *)
+let open_output ~cmd ~flag path =
+  try open_out path
+  with Sys_error e ->
+    Format.eprintf "hetmig %s: %s %s@." cmd flag e;
+    exit 2
+
+let write_file ~cmd ~flag path contents =
+  let oc = open_output ~cmd ~flag path in
   output_string oc contents;
   close_out oc
+
+(* The report goes to [--out]'s channel, opened before the run, or to
+   stdout. *)
+let print_report out text =
+  match out with
+  | Some oc ->
+    output_string oc text;
+    close_out oc
+  | None -> print_string text
 
 let schedule_cmd =
   let run seed jobs periodic drop fault_seed retry_budget crashes
@@ -231,7 +248,8 @@ let schedule_cmd =
         (match trace with
         | Some base ->
           let path = trace_path base (Sched.Policy.name p) in
-          write_file path (Obs.chrome_json obs);
+          write_file ~cmd:"schedule" ~flag:"--trace" path
+            (Obs.chrome_json obs);
           Format.printf "    (trace: %s, %d events)@." path
             (Obs.event_count obs)
         | None -> ());
@@ -310,7 +328,7 @@ let metrics_cmd =
     let obs, r = Experiments.Telemetry.observed_run () in
     (match trace with
     | Some path ->
-      write_file path (Obs.chrome_json obs);
+      write_file ~cmd:"metrics" ~flag:"--trace" path (Obs.chrome_json obs);
       Format.eprintf "(trace written to %s, %d events)@." path
         (Obs.event_count obs)
     | None -> ());
@@ -650,11 +668,9 @@ let island_run_term ~cmd ~nodes ~racks ~jobs ~rate =
 (* Run and report. Every job must complete or fail: a run that loses
    one is broken however good the report looks. *)
 let run_island_sched ~cmd (cfg, domains, out) =
+  let out = Option.map (open_output ~cmd ~flag:"--out") out in
   let r = Sched.Cluster.run ~domains cfg in
-  let text = Sched.Cluster.render cfg r in
-  (match out with
-  | Some path -> write_file path text
-  | None -> print_string text);
+  print_report out (Sched.Cluster.render cfg r);
   if
     r.Sched.Cluster.completed + r.Sched.Cluster.failed
     <> cfg.Sched.Cluster.jobs
@@ -807,7 +823,7 @@ let serve_cmd =
        are checked only when it runs. *)
     let source =
       match trace_file with
-      | Some path -> Sched.Arrival.Replay_file path
+      | Some path -> must (V.trace_file path)
       | None -> begin
         let services = must (V.at_least ~what:"--services" ~min:1 services) in
         match arrivals with
@@ -825,14 +841,26 @@ let serve_cmd =
           exit 2
       end
     in
+    let out = Option.map (open_output ~cmd:"serve" ~flag:"--out") out in
+    let trace =
+      Option.map
+        (fun path -> (path, open_output ~cmd:"serve" ~flag:"--trace" path))
+        trace
+    in
     (match save_trace with
-    | Some path ->
+    | Some path -> begin
       let s =
         Sched.Arrival.open_stream
           ?limit:(if limit > 0 then Some limit else None)
           source
       in
-      Sched.Arrival.stream_to_file s path
+      (* The source is generated or already validated, so a [Sys_error]
+         here is the output path's. *)
+      try Sched.Arrival.stream_to_file s path
+      with Sys_error e ->
+        Format.eprintf "hetmig serve: --save-trace %s@." e;
+        exit 2
+    end
     | None -> ());
     let cfg =
       { (Sched.Service.default ~nodes ~seed ~source) with
@@ -854,15 +882,15 @@ let serve_cmd =
       | Some d -> { cfg with Sched.Service.demand_instructions = d }
       | None -> cfg
     in
-    let obs = if trace <> None || metrics then Obs.create () else Obs.noop in
+    let obs =
+      if Option.is_some trace || metrics then Obs.create () else Obs.noop
+    in
     let r = Sched.Service.run ~domains ~obs cfg in
-    let text = Sched.Service.render cfg r in
-    (match out with
-    | Some path -> write_file path text
-    | None -> print_string text);
+    print_report out (Sched.Service.render cfg r);
     (match trace with
-    | Some path ->
-      write_file path (Obs.chrome_json obs);
+    | Some (path, oc) ->
+      output_string oc (Obs.chrome_json obs);
+      close_out oc;
       Format.eprintf "(trace written to %s, %d events)@." path
         (Obs.event_count obs)
     | None -> ());

@@ -140,23 +140,12 @@ let diurnal ?(base_rps = 0.0) ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed
   finalize ~tname:(Printf.sprintf "diurnal-s%d" seed) ~services !acc
 
 (* Replayable trace files: a tagged header, then one "<at> <svc>" line
-   per request in trace order. Times are written as lossless hex floats
-   ([%h]) so a round trip through disk reproduces the trace
-   bit-identically; [float_of_string] also accepts plain decimals, so
-   hand-written traces work too. *)
-let to_file trace path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "# hetmig-request-trace v1 services=%d name=%s\n"
-        trace.services trace.tname;
-      Array.iter
-        (fun r -> Printf.fprintf oc "%h %d\n" r.at r.svc)
-        trace.requests)
-
+   per request in trace order ({!stream_to_file} writes them). Times are
+   written as lossless hex floats ([%h]) so a round trip through disk
+   reproduces the trace bit-identically; [float_of_string] also accepts
+   plain decimals, so hand-written traces work too. *)
 let bad_line path line msg =
-  invalid_arg (Printf.sprintf "Arrival.of_file %s, line %d: %s" path line msg)
+  invalid_arg (Printf.sprintf "%s, line %d: %s" path line msg)
 
 let parse_header path ic =
   let header =
@@ -174,8 +163,8 @@ let parse_header path ic =
 
 (* One [<at> <svc>] body line; [None] for blanks and [#] comments.
    [float_of_string] rather than Scanf's [%f]: it accepts both the
-   lossless [%h] hex floats [to_file] writes and plain decimals from
-   hand-written traces. *)
+   lossless [%h] hex floats {!stream_to_file} writes and plain decimals
+   from hand-written traces. *)
 let parse_line path ~services ~line l =
   let l = String.trim l in
   if l = "" || l.[0] = '#' then None
@@ -196,28 +185,6 @@ let parse_line path ~services ~line l =
     Some (at, svc)
   end
 
-let of_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let services, tname = parse_header path ic in
-      let pairs = ref [] in
-      let k = ref 0 in
-      let line = ref 1 in
-      (try
-         while true do
-           let l = input_line ic in
-           incr line;
-           match parse_line path ~services ~line:!line l with
-           | None -> ()
-           | Some (at, svc) ->
-             pairs := (at, svc, !k) :: !pairs;
-             incr k
-         done
-       with End_of_file -> ());
-      finalize ~tname ~services !pairs)
-
 (* --- streaming traces -------------------------------------------------- *)
 
 (* A stream is a one-shot cursor over a request sequence in canonical
@@ -236,7 +203,6 @@ let of_file path =
 type stream = {
   sname : string;
   sservices : int;
-  total_hint : int option;  (* known request count, for replay sources *)
   mutable remaining : int;  (* pulls left before cutoff; -1 = unlimited *)
   mutable cur_at : float;
   mutable cur_svc : int;
@@ -247,7 +213,6 @@ type stream = {
 
 let stream_name s = s.sname
 let stream_services s = s.sservices
-let stream_total_hint s = s.total_hint
 let at s = s.cur_at
 let svc s = s.cur_svc
 let rid s = s.cur_rid
@@ -339,7 +304,6 @@ let merged_stream ~sname ~services gens =
   {
     sname;
     sservices = services;
-    total_hint = None;
     remaining = -1;
     cur_at = 0.0;
     cur_svc = -1;
@@ -465,7 +429,6 @@ let stream_of_trace trace =
   {
     sname = trace.tname;
     sservices = trace.services;
-    total_hint = Some n;
     remaining = -1;
     cur_at = 0.0;
     cur_svc = -1;
@@ -476,9 +439,8 @@ let stream_of_trace trace =
 
 (* Chunked replay: one line per pull, constant memory whatever the file
    size. The file must already be in canonical (at, svc) order — which
-   everything {!to_file}/{!stream_to_file} writes is — because a stream
-   cannot re-sort what it has not read yet; out-of-order input raises
-   (use the materializing {!of_file} for hand-written unsorted traces). *)
+   everything {!stream_to_file} writes is — because a stream cannot
+   re-sort what it has not read yet; out-of-order input raises. *)
 let stream_of_file path =
   let ic = open_in path in
   let services, tname =
@@ -507,8 +469,7 @@ let stream_of_file path =
       | None -> pull s
       | Some (at, svc) ->
         if at < !last_at || (at = !last_at && svc < !last_svc) then
-          bad_line path !line
-            "trace not in canonical (at, svc) order; use Arrival.of_file";
+          bad_line path !line "trace not in canonical (at, svc) order";
         last_at := at;
         last_svc := svc;
         s.cur_at <- at;
@@ -518,7 +479,6 @@ let stream_of_file path =
   {
     sname = tname;
     sservices = services;
-    total_hint = None;
     remaining = -1;
     cur_at = 0.0;
     cur_svc = -1;

@@ -71,19 +71,6 @@ val diurnal :
     Each service's curve is phase-shifted by a per-service random
     offset so peaks stagger across the fleet. *)
 
-val to_file : request_trace -> string -> unit
-(** Write a replayable trace file: a
-    [# hetmig-request-trace v1 services=<n> name=<s>] header then one
-    [<at> <svc>] line per request. Times are lossless hex floats, so
-    [of_file (to_file t)] reproduces [t] bit-identically. *)
-
-val of_file : string -> request_trace
-(** Parse a trace file ({!to_file}'s format; decimal times and [#]
-    comment lines are also accepted). Requests are re-canonicalized:
-    sorted by [(at, svc)] with file order breaking ties, then re-
-    numbered. Raises [Invalid_argument] on malformed input, negative or
-    NaN times, or out-of-range service ids. *)
-
 (** {1 Streaming traces}
 
     A {!stream} is a one-shot cursor over a request sequence in
@@ -151,9 +138,11 @@ val open_stream : ?limit:int -> source -> stream
 (** Open a fresh cursor. [limit] caps the number of requests the stream
     will yield (a cheap way to bound replay of a longer source).
     {!Replay_file} streams require the file in canonical (at, svc)
-    order — {!to_file} output always is — and raise [Invalid_argument]
-    on the first out-of-order line; use {!of_file} for unsorted
-    hand-written traces. *)
+    order — {!stream_to_file} output always is. A missing file raises
+    [Sys_error]; a malformed header or line, a negative or NaN time, an
+    out-of-range service id or an out-of-order line raises
+    [Invalid_argument "<path>, line <n>: <what>"] when the stream reaches
+    it. {!Validate.trace_file} checks a whole file up front. *)
 
 val next : stream -> bool
 (** Advance to the next request; [false] once the stream is exhausted
@@ -169,10 +158,6 @@ val rid : stream -> int
 val stream_name : stream -> string
 val stream_services : stream -> int
 
-val stream_total_hint : stream -> int option
-(** Request count when the source knows it up front ({!Materialized}
-    only). *)
-
 val close_stream : stream -> unit
 (** Release underlying resources (the open file for {!Replay_file};
     a no-op otherwise). Safe to call more than once. *)
@@ -183,5 +168,9 @@ val materialize : ?limit:int -> source -> request_trace
     reproduce {!bursty}/{!diurnal}. *)
 
 val stream_to_file : stream -> string -> unit
-(** Drain [stream] into {!to_file}'s replay format without ever holding
-    the trace in memory. *)
+(** Drain [stream] into a replayable trace file without ever holding the
+    trace in memory: a [# hetmig-request-trace v1 services=<n> name=<s>]
+    header, then one [<at> <svc>] line per request. Times are lossless
+    hex floats, so replaying the file ({!Replay_file}) reproduces the
+    stream bit-identically; hand-written files may use decimal times and
+    [#] comment lines. *)

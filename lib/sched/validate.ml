@@ -71,6 +71,24 @@ let crashes_in_range ~nodes crashes =
       c.Faults.Plan.node c.Faults.Plan.at c.Faults.Plan.node (nodes - 1)
   | None -> Ok ()
 
+(* [--trace-file PATH]: stream the whole file once through the reader
+   the run itself uses, in constant memory. A missing file, a bad
+   header or line, an out-of-range service id or an out-of-order line
+   is then a usage error naming the flag and the line before the run
+   starts, not an uncaught exception part-way through it. *)
+let trace_file path =
+  let source = Arrival.Replay_file path in
+  let drain () =
+    let s = Arrival.open_stream source in
+    Fun.protect
+      ~finally:(fun () -> Arrival.close_stream s)
+      (fun () -> while Arrival.next s do () done)
+  in
+  match drain () with
+  | () -> Ok source
+  | exception (Sys_error msg | Invalid_argument msg) ->
+    errf "--trace-file %s" msg
+
 (* Rack topology from the fleet/cluster CLI knobs. [racks = 1] is the
    flat pre-cluster topology whose single hop is the paper's 10GbE
    point-to-point interconnect. *)

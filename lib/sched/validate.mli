@@ -31,6 +31,13 @@ val crashes_in_range :
 (** Reject crash specs naming nodes the fleet does not have — formerly
     silently dropped or a deep [Invalid_argument]. *)
 
+val trace_file : string -> (Arrival.source, string) result
+(** [--trace-file PATH]: read the whole file once, in constant memory,
+    through the {!Arrival.Replay_file} reader the run uses, and return
+    that source. The error names the flag and the file, plus the line
+    for a malformed header or line, an out-of-range service id or an
+    out-of-order line. *)
+
 val topology :
   nodes:int -> racks:int -> mix_name:string -> (Machine.Topology.t, string) result
 (** Build the rack topology the fleet/cluster CLI knobs describe.

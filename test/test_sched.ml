@@ -184,6 +184,53 @@ let validate_power_cap () =
     | Ok _ -> Alcotest.fail "expected Error");
   checkb "191W admits every job" true (V.power_cap ~topology 191.0 = Ok 191.0)
 
+(* A trace file the run could not replay is refused before the run,
+   naming the flag, the file and the line; a good one yields the replay
+   source the run then reads. *)
+let validate_trace_file () =
+  let module V = Sched.Validate in
+  let err path =
+    match V.trace_file path with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "expected Error"
+  in
+  let with_file contents f =
+    let path = Filename.temp_file "hetmig_validate" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc contents);
+        f path)
+  in
+  let header = "# hetmig-request-trace v1 services=2 name=t\n" in
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "hetmig-no-such-dir/t.trace"
+  in
+  Alcotest.check Alcotest.string "missing file"
+    (Printf.sprintf "--trace-file %s: No such file or directory" missing)
+    (err missing);
+  with_file "# not a trace\n0.5 0\n" (fun path ->
+      Alcotest.check Alcotest.string "bad header"
+        (Printf.sprintf
+           "--trace-file %s, line 1: expected '# hetmig-request-trace v1 \
+            services=<n> name=<s>'"
+           path)
+        (err path));
+  with_file (header ^ "0.5 0\n1.0 2\n") (fun path ->
+      Alcotest.check Alcotest.string "service id out of range"
+        (Printf.sprintf "--trace-file %s, line 3: service 2 outside [0, 2)" path)
+        (err path));
+  with_file (header ^ "1.0 1\n0.5 0\n") (fun path ->
+      Alcotest.check Alcotest.string "out-of-order line"
+        (Printf.sprintf
+           "--trace-file %s, line 3: trace not in canonical (at, svc) order"
+           path)
+        (err path));
+  with_file (header ^ "# a comment\n0x1p-1 0\n0.5 1\n\n1.0 0\n") (fun path ->
+      checkb "a good file yields its replay source" true
+        (V.trace_file path = Ok (Sched.Arrival.Replay_file path)))
+
 let small_jobs seed n = Sched.Arrival.sustained ~seed ~jobs:n
 
 let scheduler_completes_all_jobs () =
@@ -349,6 +396,8 @@ let suite =
     ("validate: topology knobs", `Quick, validate_topology);
     ("validate: power cap below the admission floor", `Quick,
      validate_power_cap);
+    ("validate: trace file names the flag and the line", `Quick,
+     validate_trace_file);
     ("scheduler completes all jobs", `Slow, scheduler_completes_all_jobs);
     ("infeasible jobs counted as rejected", `Slow,
      infeasible_jobs_counted_as_rejected);

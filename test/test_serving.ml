@@ -103,7 +103,9 @@ let qcheck_stream_equiv =
         Fun.protect
           ~finally:(fun () -> Sys.remove path)
           (fun () ->
-            Sched.Arrival.to_file trace path;
+            Sched.Arrival.stream_to_file
+              (Sched.Arrival.open_stream (Sched.Arrival.Materialized trace))
+              path;
             Sched.Arrival.materialize (Sched.Arrival.Replay_file path))
       in
       streamed.Sched.Arrival.services = trace.Sched.Arrival.services
@@ -320,20 +322,22 @@ let trace_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Sched.Arrival.to_file t path;
-      let t' = Sched.Arrival.of_file path in
+      Sched.Arrival.stream_to_file
+        (Sched.Arrival.open_stream (Sched.Arrival.Materialized t))
+        path;
+      let replay = Sched.Arrival.Replay_file path in
+      let t' = Sched.Arrival.materialize replay in
       checki "services survive" t.Sched.Arrival.services t'.Sched.Arrival.services;
       checkb "requests identical" true
         (t.Sched.Arrival.requests = t'.Sched.Arrival.requests);
       (* And the replay simulates identically to the original. *)
-      let cfg tr =
-        Sched.Service.default ~nodes:4 ~seed:11
-          ~source:(Sched.Arrival.Materialized tr)
-      in
-      let a = Sched.Service.run ~domains:1 (cfg t) in
-      let b = Sched.Service.run ~domains:1 (cfg t') in
+      let cfg source = Sched.Service.default ~nodes:4 ~seed:11 ~source in
+      let original = cfg (Sched.Arrival.Materialized t) in
+      let replayed = cfg replay in
+      let a = Sched.Service.run ~domains:1 original in
+      let b = Sched.Service.run ~domains:1 replayed in
       checkb "replayed trace gives a byte-identical report" true
-        (Sched.Service.render (cfg t) a = Sched.Service.render (cfg t') b))
+        (Sched.Service.render original a = Sched.Service.render replayed b))
 
 (* --- configs that cannot run are refused up front ------------------------ *)
 
