@@ -207,22 +207,6 @@ type sched_state = {
   mutable peak_power_w : float;
 }
 
-let utilization ns =
-  Float.min 1.0
-    (float_of_int ns.busy /. float_of_int ns.machine.Machine.Server.cores)
-
-let settle ns ~now =
-  let power =
-    Machine.Power.system_power ns.machine.Machine.Server.power
-      ~utilization:(utilization ns)
-  in
-  ns.energy_j <- ns.energy_j +. ((now -. ns.last_update) *. power);
-  ns.last_update <- now
-
-let adjust_busy ns ~now delta =
-  settle ns ~now;
-  ns.busy <- ns.busy + delta
-
 (* Remote page fault served by the hDSM protocol: handler software on
    top of a round trip over the given path, as in `Dsm.Hdsm`. Warm
    misses hit the nearest replica (one local hop); cold working sets
@@ -255,35 +239,70 @@ let load_power (m : Machine.Server.t) load =
   in
   Machine.Power.system_power m.Machine.Server.power ~utilization:u
 
+(* Per-node power tables, built once per run by the two functions
+   above, so the scheduler's O(N) scans and every node's energy settle
+   read a float instead of evaluating the power model. [watts.(n).(k)]
+   is node [n]'s draw at [k] threads, for [k] up to its core count: a
+   heavier load draws the same, since [load_power] clamps the
+   utilization at 1. [eff.(slot c).(n)] is node [n]'s efficiency for
+   category [c]. A lookup returns the very float the function would, so
+   sums over the tables, taken in the same order, round the same. *)
+type tables = { watts : float array array; eff : float array array }
+
+let slot : Isa.Cost_model.category -> int = function
+  | Compute -> 0
+  | Memory -> 1
+  | Branch -> 2
+  | Mixed -> 3
+
+let tables_of (servers : Machine.Server.t array) =
+  {
+    watts =
+      Array.map
+        (fun (m : Machine.Server.t) ->
+          Array.init (m.Machine.Server.cores + 1) (load_power m))
+        servers;
+    eff =
+      Array.map
+        (fun cat -> Array.map (fun m -> efficiency m cat) servers)
+        Isa.Cost_model.[| Compute; Memory; Branch; Mixed |];
+  }
+
+(* Node [n]'s power draw at thread load [load >= 0]: [load_power]. *)
+let[@inline] watts_at tb n load =
+  let row = tb.watts.(n) in
+  row.(Int.min load (Array.length row - 1))
+
 (* Projected cluster power from per-node thread loads, with [extra]
    threads placed on node [on]: the bin-packing budget, summed in node
    order. *)
-let projected_power (servers : Machine.Server.t array) load ~on ~extra =
+let projected_power tb load ~on ~extra =
   let total = ref 0.0 in
-  for n = 0 to Array.length servers - 1 do
-    total :=
-      !total +. load_power servers.(n) (load.(n) + if n = on then extra else 0)
+  for n = 0 to Array.length tb.watts - 1 do
+    total := !total +. watts_at tb n (load.(n) + if n = on then extra else 0)
   done;
   !total
 
 (* The lowest cap under which every job is eventually admitted: the
    idle cluster plus the cheapest placement of the widest job. Below it
    a wide job at the head of the queue blocks admission forever. *)
-let power_floor topology =
-  let servers =
-    Array.init (Machine.Topology.nodes topology)
-      (Machine.Topology.server topology)
-  in
+let floor_of (servers : Machine.Server.t array) tb =
   let idle = Array.make (Array.length servers) 0 in
   let widest = Array.fold_left max 0 thread_counts in
   let floor = ref Float.infinity in
   Array.iteri
     (fun on (m : Machine.Server.t) ->
       if widest <= 2 * m.Machine.Server.cores then
-        floor :=
-          Float.min !floor (projected_power servers idle ~on ~extra:widest))
+        floor := Float.min !floor (projected_power tb idle ~on ~extra:widest))
     servers;
   !floor
+
+let servers_of topology =
+  Array.init (Machine.Topology.nodes topology) (Machine.Topology.server topology)
+
+let power_floor topology =
+  let servers = servers_of topology in
+  floor_of servers (tables_of servers)
 
 (* --- the simulation ---------------------------------------------------- *)
 
@@ -295,8 +314,10 @@ let run_impl ?(domains = 1) ~capture cfg =
     invalid_arg "Cluster.run: epoch must be positive";
   if not (Float.is_finite cfg.power_cap_w) || cfg.power_cap_w <= 0.0 then
     invalid_arg "Cluster.run: power cap must be positive";
+  let servers = servers_of cfg.topology in
+  let tb = tables_of servers in
   (if cfg.policy = Pack_power_cap then
-     let floor = power_floor cfg.topology in
+     let floor = floor_of servers tb in
      if cfg.power_cap_w < floor then
        invalid_arg
          (Printf.sprintf
@@ -346,7 +367,7 @@ let run_impl ?(domains = 1) ~capture cfg =
     Array.init n_nodes (fun i ->
         {
           node_id = i;
-          machine = Machine.Topology.server topo i;
+          machine = servers.(i);
           busy = 0;
           energy_j = 0.0;
           last_update = 0.0;
@@ -356,7 +377,16 @@ let run_impl ?(domains = 1) ~capture cfg =
           retried = 0;
         })
   in
-  let servers = Array.map (fun ns -> ns.machine) nodes in
+  (* A node's energy integral, brought up to [now] at its current draw. *)
+  let settle ns ~now =
+    let power = watts_at tb ns.node_id ns.busy in
+    ns.energy_j <- ns.energy_j +. ((now -. ns.last_update) *. power);
+    ns.last_update <- now
+  in
+  let adjust_busy ns ~now delta =
+    settle ns ~now;
+    ns.busy <- ns.busy + delta
+  in
   let sched =
     {
       queue = Queue.create ();
@@ -595,18 +625,18 @@ let run_impl ?(domains = 1) ~capture cfg =
          sum decides. *)
       let base = ref 0.0 in
       for n = 0 to n_nodes - 1 do
-        base := !base +. load_power servers.(n) sched.est_load.(n)
+        base := !base +. watts_at tb n sched.est_load.(n)
       done;
       let base = !base in
       let margin = 2.0 *. float_of_int (n_nodes + 1) *. epsilon_float in
       let under_cap n =
         let load = sched.est_load.(n) in
-        let q = load_power servers.(n) (load + job.threads) in
-        let swapped = base -. load_power servers.(n) load +. q in
+        let q = watts_at tb n (load + job.threads) in
+        let swapped = base -. watts_at tb n load +. q in
         if Float.abs (swapped -. cfg.power_cap_w) > margin *. (base +. q)
         then swapped < cfg.power_cap_w
         else
-          projected_power servers sched.est_load ~on:n ~extra:job.threads
+          projected_power tb sched.est_load ~on:n ~extra:job.threads
           <= cfg.power_cap_w
       in
       let blocked = ref false in
@@ -622,15 +652,16 @@ let run_impl ?(domains = 1) ~capture cfg =
       | Some n ->
         sched.peak_power_w <-
           Float.max sched.peak_power_w
-            (projected_power servers sched.est_load ~on:n ~extra:job.threads)
+            (projected_power tb sched.est_load ~on:n ~extra:job.threads)
       | None -> if !blocked then sched.deferred <- sched.deferred + 1);
       best
     | Edp_migrate ->
       (* ISA-affinity placement: throughput per watt for the job's
          category, discounted by load — so a busy efficient node loses
          to an idle slightly-less-efficient one. *)
+      let eff = tb.eff.(slot job.spec.Workload.Spec.category) in
       best_fit job (fun n ->
-          efficiency nodes.(n).machine job.spec.Workload.Spec.category
+          eff.(n)
           *. (1.0
              -. (float_of_int sched.est_load.(n)
                 /. float_of_int (2 * sched.cores.(n)))))
@@ -679,14 +710,12 @@ let run_impl ?(domains = 1) ~capture cfg =
       (* Worst-placed load moves to the best node with room, ranked by
          per-core efficiency-weighted pressure. *)
       let hi = hottest () in
+      let eff = tb.eff.(slot Isa.Cost_model.Mixed) in
       let best = ref (-1) in
       let best_s = ref Float.neg_infinity in
       for n = 0 to n_nodes - 1 do
         if n <> hi && sched.est_load.(n) + 1 <= 2 * sched.cores.(n) then begin
-          let s =
-            efficiency nodes.(n).machine Isa.Cost_model.Mixed
-            *. (1.0 -. (norm n /. 2.0))
-          in
+          let s = eff.(n) *. (1.0 -. (norm n /. 2.0)) in
           if s > !best_s then begin
             best := n;
             best_s := s

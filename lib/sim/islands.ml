@@ -20,9 +20,10 @@
    [t + after >= next + lookahead = window_end], i.e. strictly outside
    the current window — no island can ever receive an event earlier
    than something it already executed. Cross-island deliveries are
-   staged in per-(src,dst) outboxes and merged into the destination
-   calendars at the window barrier; because calendar keys are globally
-   unique, merge order is irrelevant to execution order.
+   staged in one buffer per sending island, each post tagged with its
+   destination, and pushed into the destination calendars at the window
+   barrier; because calendar keys are globally unique, push order is
+   irrelevant to execution order.
 
    Determinism: sequence numbers are drawn from per-island counters
    (advanced only by that island's own execution, which is sequential),
@@ -94,32 +95,33 @@ type island = {
   id : int;
   n_islands : int;
   out_lookahead : float array;
-      (* per-destination minimum post delay (uniform rows when no edge
-         matrix was given) — the topology-aware post contract *)
+      (* per-destination minimum post delay — the topology-aware post
+         contract: this island's row of the edge matrix, or the one
+         uniform row every island shares *)
   cal : (island -> unit) Calendar.t;
   mutable clock : float;
   mutable next_seq : int;
   prng : Prng.t;
-  outboxes : outbox array;  (* staged posts, indexed by dest *)
-  dirty : int array;  (* destinations with a non-empty outbox *)
-  mutable dirty_n : int;
+  staged : staging;  (* this window's cross-island posts *)
   mutable executed : int;
   cap : island_cap option;
   mutable cur_window : int;  (* window index while executing *)
 }
 
-(* One epoch's staged posts to a single destination, struct-of-arrays.
-   The slots are recycled across windows (capacity grows by doubling,
-   never shrinks), so a steady cross-island message rate stages and
-   merges whole epochs of traffic with zero allocation — the batch-post
-   path that keeps barrier cost amortized at millions-of-requests
-   rates. The posting island's id is the array index in [outboxes] on
-   the other side, so only (time, seq, act) is staged per message. *)
-and outbox = {
-  mutable o_times : float array;
-  mutable o_seqs : int array;
-  mutable o_acts : (island -> unit) array;
-  mutable o_n : int;
+(* One window's cross-island posts from a single island, in post order,
+   struct-of-arrays with a destination lane. The slots are recycled
+   across windows (capacity grows by doubling, never shrinks), so a
+   steady cross-island message rate stages and delivers whole epochs of
+   traffic with zero allocation — the batch-post path that keeps
+   barrier cost amortized at millions-of-requests rates. The sender is
+   the island that owns the buffer, so (time, seq, dst, act) is staged
+   per message, and the memory is O(islands + traffic). *)
+and staging = {
+  mutable s_times : float array;
+  mutable s_seqs : int array;
+  mutable s_dsts : int array;
+  mutable s_acts : (island -> unit) array;
+  mutable s_n : int;
 }
 
 type t = {
@@ -134,23 +136,23 @@ type t = {
 
 let noop_action (_ : island) = ()
 
-(* Outboxes start with zero capacity: most (src,dst) pairs in a
-   star-shaped topology (nodes <-> controller) never talk, and lazily
-   growing only the live pairs keeps n^2 boxes cheap at fleet scale. *)
-let empty_outbox () =
-  { o_times = [||]; o_seqs = [||]; o_acts = [||]; o_n = 0 }
+let empty_staging () =
+  { s_times = [||]; s_seqs = [||]; s_dsts = [||]; s_acts = [||]; s_n = 0 }
 
-let outbox_grow box =
-  let cap' = max 4 (Array.length box.o_times * 2) in
+let staging_grow st =
+  let cap' = max 4 (Array.length st.s_times * 2) in
   let times' = Array.make cap' 0.0 in
   let seqs' = Array.make cap' 0 in
+  let dsts' = Array.make cap' 0 in
   let acts' = Array.make cap' noop_action in
-  Array.blit box.o_times 0 times' 0 box.o_n;
-  Array.blit box.o_seqs 0 seqs' 0 box.o_n;
-  Array.blit box.o_acts 0 acts' 0 box.o_n;
-  box.o_times <- times';
-  box.o_seqs <- seqs';
-  box.o_acts <- acts'
+  Array.blit st.s_times 0 times' 0 st.s_n;
+  Array.blit st.s_seqs 0 seqs' 0 st.s_n;
+  Array.blit st.s_dsts 0 dsts' 0 st.s_n;
+  Array.blit st.s_acts 0 acts' 0 st.s_n;
+  st.s_times <- times';
+  st.s_seqs <- seqs';
+  st.s_dsts <- dsts';
+  st.s_acts <- acts'
 
 let create ?(capture = false) ?edge_lookahead ~islands:n
     ~lookahead ~seed () =
@@ -161,57 +163,59 @@ let create ?(capture = false) ?edge_lookahead ~islands:n
      the floor under posts from island s to island d. Every entry must
      be at least the scalar [lookahead]; the window advance then uses
      the matrix minimum, which is >= the scalar — windows can only grow
-     wider, never unsafe (see DESIGN.md §7b). *)
+     wider, never unsafe (see DESIGN.md §7b). The matrix is kept as
+     given, and the scans below allocate nothing, so set-up costs
+     O(islands) memory whether or not a matrix is passed. *)
   let edge =
     match edge_lookahead with
     | None -> [||]
     | Some m ->
-      if Array.length m <> n then
-        invalid_arg "Islands.create: edge_lookahead must be islands x islands";
-      Array.iteri
-        (fun s row ->
-          if Array.length row <> n then
+      let not_square () =
+        invalid_arg "Islands.create: edge_lookahead must be islands x islands"
+      in
+      if Array.length m <> n then not_square ();
+      for s = 0 to n - 1 do
+        let row = m.(s) in
+        if Array.length row <> n then not_square ();
+        for d = 0 to n - 1 do
+          let l = row.(d) in
+          if s <> d && (not (Float.is_finite l) || l < lookahead) then
             invalid_arg
-              "Islands.create: edge_lookahead must be islands x islands";
-          Array.iteri
-            (fun d l ->
-              if s <> d && (not (Float.is_finite l) || l < lookahead) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Islands.create: edge lookahead %d -> %d is %g, below \
-                      the base lookahead %g"
-                     s d l lookahead))
-            row)
-        m;
-      Array.map Array.copy m
+              (Printf.sprintf
+                 "Islands.create: edge lookahead %d -> %d is %g, below the \
+                  base lookahead %g"
+                 s d l lookahead)
+        done
+      done;
+      m
   in
   let window_lookahead =
     if edge = [||] then lookahead
     else begin
+      (* Every off-diagonal entry is finite, so [<] is [Float.min]. *)
       let acc = ref Float.infinity in
-      Array.iteri
-        (fun s row ->
-          Array.iteri (fun d l -> if s <> d then acc := Float.min !acc l) row)
-        edge;
+      for s = 0 to n - 1 do
+        let row = edge.(s) in
+        for d = 0 to n - 1 do
+          if s <> d && row.(d) < !acc then acc := row.(d)
+        done
+      done;
       if !acc = Float.infinity then lookahead else !acc
     end
   in
+  let uniform = if edge = [||] then Array.make n lookahead else [||] in
   let master = Prng.create seed in
   let islands =
     Array.init n (fun id ->
         {
           id;
           n_islands = n;
-          out_lookahead =
-            (if edge = [||] then Array.make n lookahead
-             else Array.copy edge.(id));
+          out_lookahead = (if edge = [||] then uniform else edge.(id));
           cal = Calendar.create ~check_order:capture ~dummy:noop_action ();
           clock = 0.0;
           next_seq = 0;
           prng = Prng.split master;
-          outboxes = Array.init n (fun _ -> empty_outbox ());
-          dirty = Array.make n 0;
-          dirty_n = 0;
+          staged = empty_staging ();
           executed = 0;
           cap =
             (if capture then
@@ -252,17 +256,14 @@ let post isl ~dst ~after act =
          after isl.out_lookahead.(dst) isl.id dst);
   if dst = isl.id then schedule_in isl ~after act
   else begin
-    let box = isl.outboxes.(dst) in
-    if box.o_n = 0 then begin
-      isl.dirty.(isl.dirty_n) <- dst;
-      isl.dirty_n <- isl.dirty_n + 1
-    end;
-    if box.o_n = Array.length box.o_times then outbox_grow box;
-    let i = box.o_n in
-    box.o_times.(i) <- isl.clock +. after;
-    box.o_seqs.(i) <- isl.next_seq;
-    box.o_acts.(i) <- act;
-    box.o_n <- i + 1;
+    let st = isl.staged in
+    if st.s_n = Array.length st.s_times then staging_grow st;
+    let i = st.s_n in
+    st.s_times.(i) <- isl.clock +. after;
+    st.s_seqs.(i) <- isl.next_seq;
+    st.s_dsts.(i) <- dst;
+    st.s_acts.(i) <- act;
+    st.s_n <- i + 1;
     (match isl.cap with
     | None -> ()
     | Some cap ->
@@ -338,27 +339,22 @@ let next_time t =
     (fun acc isl -> Float.min acc (Calendar.min_time isl.cal))
     Float.infinity t.islands
 
-(* Merge every staged cross-island message into its destination
-   calendar. Runs only at window barriers, single-threaded. Each
-   sender's dirty list names exactly the non-empty boxes, so the merge
-   cost is proportional to traffic, not to the n^2 box matrix; action
-   slots are nulled out after the push so recycled boxes never retain
+(* Push every staged cross-island message into its destination's
+   calendar. Runs only at window barriers, single-threaded. Calendar
+   keys are unique, so the push order cannot change the pop order; the
+   cost is one visit per island plus one push per message. Action slots
+   are nulled out after the push so recycled buffers never retain
    closures across windows. *)
 let deliver t =
   Array.iter
     (fun src ->
-      for k = 0 to src.dirty_n - 1 do
-        let dst = src.dirty.(k) in
-        let box = src.outboxes.(dst) in
-        let cal = t.islands.(dst).cal in
-        for i = 0 to box.o_n - 1 do
-          Calendar.push cal ~time:box.o_times.(i) ~src:src.id
-            ~seq:box.o_seqs.(i) box.o_acts.(i);
-          box.o_acts.(i) <- noop_action
-        done;
-        box.o_n <- 0
+      let st = src.staged in
+      for i = 0 to st.s_n - 1 do
+        Calendar.push t.islands.(st.s_dsts.(i)).cal ~time:st.s_times.(i)
+          ~src:src.id ~seq:st.s_seqs.(i) st.s_acts.(i);
+        st.s_acts.(i) <- noop_action
       done;
-      src.dirty_n <- 0)
+      st.s_n <- 0)
     t.islands
 
 (* Barrier-time capture snapshot: window bounds plus every island's PRNG

@@ -99,7 +99,10 @@ val create :
     Every distinct-pair entry must be finite and at least [lookahead] —
     the scalar stays the global safety floor, and the synchronization
     window still advances by the matrix minimum, so the §7b argument is
-    unchanged while wider edges admit wider windows. *)
+    unchanged while wider edges admit wider windows. The runtime keeps
+    the matrix as given, without a copy: do not mutate it afterwards.
+    Without it the islands share one uniform row, so [create] allocates
+    O(islands) either way. *)
 
 val island : t -> int -> island
 
@@ -123,13 +126,13 @@ val post : island -> dst:int -> after:float -> (island -> unit) -> unit
     synchronization contract; violating it raises [Invalid_argument].
     Posting to the own island degrades to {!schedule_in}.
 
-    Posts are batch-staged: each (src, dst) pair owns a recycled
-    struct-of-arrays outbox that accumulates the whole window's
-    messages and is merged into the destination calendar in one pass at
-    the barrier (senders track their dirty destinations, so merge cost
-    is proportional to traffic, not islands²). Steady-state posting
-    allocates nothing, which is what amortizes barrier cost at
-    millions-of-requests rates. *)
+    Posts are batch-staged: each sending island owns one recycled
+    struct-of-arrays buffer that accumulates the whole window's posts,
+    each with its destination, and at the barrier every staged post is
+    pushed into its destination's calendar. Staging memory is
+    O(islands + traffic), and delivery costs one visit per island plus
+    one push per post. Steady-state posting allocates nothing, which is
+    what amortizes barrier cost at millions-of-requests rates. *)
 
 val run : ?domains:int -> t -> unit
 (** Execute until no events remain anywhere. [domains] bounds the number

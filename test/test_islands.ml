@@ -280,6 +280,89 @@ let islands_edge_seq_equals_parallel () =
   checkb "captures identical under per-edge floors" true
     (capture_of a = capture_of b)
 
+(* --- Staging: memory and delivery at fleet scale ------------------------- *)
+
+(* Set-up is linear in the island count: [create] allocates a bounded
+   number of bytes per island, with a uniform lookahead and with a
+   per-edge matrix (kept as given, not copied). One word per island
+   pair is 1025 words, over 8 KiB, per island at this size, so any
+   islands x islands structure breaks the budget. *)
+let islands_create_linear () =
+  let n = 1025 in
+  let budget = 8192.0 in
+  let per_island create =
+    let before = Gc.allocated_bytes () in
+    let rt = create () in
+    let after = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity rt);
+    (after -. before) /. float_of_int n
+  in
+  let edge =
+    Array.init n (fun s ->
+        Array.init n (fun d ->
+            if s = d then 0.0 else 1.0 +. (0.001 *. float_of_int (abs (s - d)))))
+  in
+  let uniform =
+    per_island (fun () -> Sim.Islands.create ~islands:n ~lookahead:1.0 ~seed:1 ())
+  in
+  let edged =
+    per_island (fun () ->
+        Sim.Islands.create ~edge_lookahead:edge ~islands:n ~lookahead:1.0
+          ~seed:1 ())
+  in
+  checkb
+    (Printf.sprintf "uniform lookahead: %.0f B per island, under %.0f" uniform
+       budget)
+    true (uniform < budget);
+  checkb
+    (Printf.sprintf "edge matrix: %.0f B per island, under %.0f" edged budget)
+    true (edged < budget)
+
+(* One window of fan-out: island 0 posts to every other island at a
+   distinct delay, in an order that is neither the destination order
+   nor the delivery order, and every recipient answers island 0 one
+   lookahead later. Each post runs once, at its own time, on its own
+   island; the answers run on island 0 in time order; and the run does
+   not depend on the domain count. *)
+let islands_fan_out () =
+  let n = 257 in
+  let delay d = 1.0 +. (0.001 *. float_of_int (d * 37 mod n)) in
+  let build () =
+    let rt =
+      Sim.Islands.create ~capture:true ~islands:n ~lookahead:1.0 ~seed:5 ()
+    in
+    let ran = Array.make n [] in
+    let answers = ref [] in
+    Sim.Islands.schedule (Sim.Islands.island rt 0) ~at:0.0 (fun isl ->
+        for d = n - 1 downto 1 do
+          Sim.Islands.post isl ~dst:d ~after:(delay d) (fun isl ->
+              ran.(d) <- (Sim.Islands.id isl, Sim.Islands.now isl) :: ran.(d);
+              Sim.Islands.post isl ~dst:0 ~after:1.0 (fun isl ->
+                  answers := (d, Sim.Islands.now isl) :: !answers))
+        done);
+    (rt, ran, answers)
+  in
+  let a, ran_a, answers_a = build () and b, ran_b, answers_b = build () in
+  Sim.Islands.run ~domains:1 a;
+  Sim.Islands.run ~domains:4 b;
+  for d = 1 to n - 1 do
+    checkb
+      (Printf.sprintf "post to island %d ran once, there, at its time" d)
+      true
+      (ran_a.(d) = [ (d, delay d) ])
+  done;
+  let in_time_order =
+    List.sort
+      (fun (d, _) (d', _) -> Float.compare (delay d) (delay d'))
+      (List.init (n - 1) (fun k -> (k + 1, delay (k + 1) +. 1.0)))
+  in
+  checkb "answers ran on island 0 in time order" true
+    (List.rev !answers_a = in_time_order);
+  checkb "same runs at 4 domains" true
+    (ran_a = ran_b && !answers_a = !answers_b);
+  checkb "captures identical at 1 and 4 domains" true
+    (capture_of a = capture_of b)
+
 (* --- Cluster: the island-scheduler core, end to end --------------------- *)
 
 let fleet_render_stable () =
@@ -508,4 +591,8 @@ let suite =
       phase_memo_shares;
     Alcotest.test_case "cluster: power cap below the admission floor" `Quick
       cluster_power_cap_floor;
+    Alcotest.test_case "islands: set-up linear in islands" `Quick
+      islands_create_linear;
+    Alcotest.test_case "islands: fan-out to every island" `Quick
+      islands_fan_out;
   ]
