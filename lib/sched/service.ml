@@ -23,9 +23,11 @@
      - latencies accumulate directly into per-node log-histogram count
        arrays (plus an exact sum for the mean) — no `latencies_ms`
        lists, no end-of-run sort;
-     - the controller's sliding windows are rings with incremental
-       bucket counts, pruned O(1) amortized per request instead of
-       rebuilt with `List.filter` every epoch.
+     - each service's sliding p99 window is a `Sim.Window_hist` with
+       one entry per (epoch, latency bucket) and a count: adding a
+       response's sample or pruning it is O(1) amortized, and the
+       window holds O(buckets x window_s / epoch_s) entries whatever
+       the request rate.
 
    Services are replica groups: each service may run instances on
    several nodes at once, and the router picks among live replicas with
@@ -234,9 +236,7 @@ type ctrl_state = {
       (* latest routed arrival time ([neg_infinity] before the first):
          arrivals are routed in nondecreasing time, so no arrival lies
          in the window [now - window_s, now] iff this is before it *)
-  lat_win : Sim.Ring.t array;  (* (resolve time, window bucket) *)
-  win_counts : int array array;  (* per-service window histogram *)
-  win_n : int array;
+  lat_win : Sim.Window_hist.t array;  (* (resolve time, window bucket) *)
   spans : Obs.span option array;  (* open migration spans *)
   mutable arrived : int;
   mutable resolved : int;  (* responses + drops accounted *)
@@ -455,9 +455,9 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       last_move = Array.make services 0.0;
       alive = Array.make cfg.nodes true;
       last_arr = Array.make services neg_infinity;
-      lat_win = Array.init services (fun _ -> Sim.Ring.create ());
-      win_counts = Array.init services (fun _ -> Array.make win_buckets 0);
-      win_n = Array.make services 0;
+      lat_win =
+        Array.init services (fun _ ->
+            Sim.Window_hist.create ~bucket_lo:win_bucket_lo);
       spans = Array.make services None;
       arrived = 0;
       resolved = 0;
@@ -595,10 +595,10 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     end
   in
   (* One response digest from a node: an epoch's completions applied in
-     a single event. Window-latency entries all carry the digest's
+     a single event. Window-latency samples all carry the digest's
      arrival time, which is the same grid point for every node's digest
-     of a given epoch, so each service's latency ring stays
-     time-ordered for the O(1) prune. *)
+     of a given epoch, so each service's window stays time-ordered for
+     the O(1) prune and holds one entry per (epoch, bucket). *)
   let apply_digest node resp viol pairs lats ms isl =
     touch_ctrl isl;
     ctrl.resolved <- ctrl.resolved + resp;
@@ -610,10 +610,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       let nowt = Sim.Islands.now isl in
       for k = 0 to Array.length lats - 1 do
         let p = lats.(k) in
-        let svc = p lsr 6 and b = p land 63 in
-        Sim.Ring.push ctrl.lat_win.(svc) nowt b;
-        ctrl.win_counts.(svc).(b) <- ctrl.win_counts.(svc).(b) + 1;
-        ctrl.win_n.(svc) <- ctrl.win_n.(svc) + 1
+        Sim.Window_hist.add ctrl.lat_win.(p lsr 6) nowt (p land 63)
       done
     end;
     for k = 0 to Array.length ms - 1 do
@@ -1151,27 +1148,16 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     Sim.Islands.post isl ~dst:(dst + 1) ~after:epoch
       (land_cmd svc ctrl.gen.(svc) (Sim.Ring.create ()))
   in
-  (* Sliding-window upkeep, O(1) amortized per request: pop expired
-     entries off the latency ring heads, keeping the per-service window
-     histogram counts in step. *)
+  (* Sliding-window upkeep: drop the expired (time, bucket) entries
+     off each service's window. *)
   let prune_windows now =
     let horizon = now -. cfg.window_s in
-    for s = 0 to services - 1 do
-      let lw = ctrl.lat_win.(s) in
-      while (not (Sim.Ring.is_empty lw)) && Sim.Ring.peek_f lw < horizon do
-        let b = Sim.Ring.pop lw in
-        ctrl.win_counts.(s).(b) <- ctrl.win_counts.(s).(b) - 1;
-        ctrl.win_n.(s) <- ctrl.win_n.(s) - 1
-      done
-    done
+    Array.iter (fun w -> Sim.Window_hist.prune w ~horizon) ctrl.lat_win
   in
   let window_p99 s =
-    if ctrl.win_n.(s) = 0 then None
-    else
-      Some
-        (Sim.Stats.percentile
-           { Sim.Stats.bucket_lo = win_bucket_lo; counts = ctrl.win_counts.(s) }
-           0.99)
+    let w = ctrl.lat_win.(s) in
+    if Sim.Window_hist.is_empty w then None
+    else Some (Sim.Stats.percentile (Sim.Window_hist.histogram w) 0.99)
   in
   (* One SLO decision per service per tick: scale out onto x86 while
      headroom remains on a p99 breach (falling back to a stop-and-copy
@@ -1253,7 +1239,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
         | _ ->
           if
             ctrl.last_arr.(s) < now -. cfg.window_s
-            && Sim.Ring.is_empty ctrl.lat_win.(s)
+            && Sim.Window_hist.is_empty ctrl.lat_win.(s)
             && now -. ctrl.last_move.(s) >= cfg.window_s
           then park s isl
       end
@@ -1268,8 +1254,8 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       Sim.Islands.schedule_in isl ~after:cfg.window_s (fun isl -> tick isl)
   in
   (* Per-epoch heartbeat on the controller island: prunes the sliding
-     windows between policy ticks (keeping ring memory proportional to
-     the window, not the run) and — when observability is on — samples
+     windows between policy ticks (keeping window memory proportional
+     to the window, not the run) and — when observability is on — samples
      the process GC into the metrics registry, which is how the
      allocation-light claim is checked from a `--metrics` dump. The
      event itself runs regardless of [obs], so instrumented and plain

@@ -17,9 +17,10 @@
     The request hot path is allocation-light by design: arrivals stream
     one at a time (the calendar holds a single pending arrival, never
     the trace), per-instance queues are scalar rings, latencies
-    accumulate into per-node log-histograms, and the policy windows are
-    incrementally-pruned rings — so memory is independent of trace
-    length and one run can serve millions of requests.
+    accumulate into per-node log-histograms, and each policy window is
+    a {!Sim.Window_hist} holding one entry per (epoch, latency bucket)
+    — so memory is independent of trace length and request rate, and
+    one run can serve millions of requests.
 
     Services are replica groups. Each service starts with [replicas]
     instances spread along its anchor chain and the router picks among
@@ -64,7 +65,11 @@ type config = {
   epoch_s : float;  (** routing/report batching epoch = lookahead *)
   slo_ms : float;
   policy : policy;
-  window_s : float;  (** sliding window for the p99 estimate *)
+  window_s : float;
+      (** sliding window for the p99 estimate. Each service's window
+          holds at most one entry per (epoch, latency bucket) in it:
+          O(buckets × [window_s] / [epoch_s]) words, whatever the
+          request rate. *)
   demand_instructions : float;  (** mean per-request work *)
   demand_sigma : float;  (** lognormal sigma of per-request work *)
   workers : int;  (** concurrent requests per service instance *)
