@@ -1,8 +1,8 @@
 (* Growable circular buffer over parallel scalar lanes (one float, one
-   int per slot). The serving hot path keeps per-service queues and
-   sliding-window stats in these: push/pop are O(1) amortized and touch
-   only preallocated arrays, so steady-state traffic allocates nothing
-   — the property the millions-of-requests serving scenarios depend on.
+   int per slot). The serving hot path keeps its per-service request
+   queues in these: push/pop are O(1) amortized and touch only
+   preallocated arrays, so steady-state traffic allocates nothing — the
+   property the millions-of-requests serving scenarios depend on.
 
    The two lanes always move together; callers that need only one lane
    pass a dummy for the other. Capacity grows by doubling and never
@@ -51,10 +51,6 @@ let peek_f t =
   if t.len = 0 then invalid_arg "Ring.peek_f: empty";
   t.fs.(t.head)
 
-let peek_i t =
-  if t.len = 0 then invalid_arg "Ring.peek_i: empty";
-  t.is.(t.head)
-
 (* Pop returns only the int lane (the common case: queue of request
    ids); read the float lane first via {!peek_f} when it matters. *)
 let pop t =
@@ -63,14 +59,6 @@ let pop t =
   t.head <- (t.head + 1) mod Array.length t.fs;
   t.len <- t.len - 1;
   i
-
-let get_f t k =
-  if k < 0 || k >= t.len then invalid_arg "Ring.get_f: out of range";
-  t.fs.((t.head + k) mod Array.length t.fs)
-
-let get_i t k =
-  if k < 0 || k >= t.len then invalid_arg "Ring.get_i: out of range";
-  t.is.((t.head + k) mod Array.length t.fs)
 
 let iter t f =
   let cap = Array.length t.fs in
@@ -88,11 +76,11 @@ let clear ?shrink_to t =
     t.is <- Array.make cap 0
   | _ -> ()
 
-(* O(1) handoff of [src]'s whole contents: swap the backing arrays into
-   a fresh-logical ring and leave [src] empty (but still owning its old
-   capacity is NOT preserved — src restarts at zero capacity and regrows
-   on demand). Used by migration drain: the departing instance's backlog
-   is detached in constant time instead of being copied element-wise. *)
+(* O(1) handoff of [src]'s whole contents: the new ring takes over
+   [src]'s backing arrays, and [src] is left empty with zero capacity,
+   regrowing on its next push. Used by migration drain: the departing
+   instance's backlog is detached in constant time instead of being
+   copied element-wise. *)
 let detach src =
   let d = { fs = src.fs; is = src.is; head = src.head; len = src.len } in
   src.fs <- [||];
@@ -100,24 +88,3 @@ let detach src =
   src.head <- 0;
   src.len <- 0;
   d
-
-(* Append everything in [src] onto [dst] and empty [src]. O(len src)
-   element moves, no per-element allocation. *)
-let transfer ~src ~dst =
-  if dst.len = 0 && src.len > 0 then begin
-    (* fast path: dst empty — swap backing stores, O(1) *)
-    let fs = dst.fs and is = dst.is in
-    dst.fs <- src.fs;
-    dst.is <- src.is;
-    dst.head <- src.head;
-    dst.len <- src.len;
-    src.fs <- fs;
-    src.is <- is;
-    src.head <- 0;
-    src.len <- 0
-  end
-  else begin
-    iter src (fun f i -> push dst f i);
-    src.head <- 0;
-    src.len <- 0
-  end

@@ -1,11 +1,11 @@
 (** Growable circular buffer over two parallel scalar lanes (a float
     and an int per slot).
 
-    The serving hot path ({!Sched.Service}) keeps per-service request
-    queues and sliding-window statistics here: push/pop are O(1)
-    amortized over preallocated arrays, so steady-state traffic
-    allocates nothing. Capacity grows by doubling and only shrinks via
-    {!clear}, mirroring the {!Engine}/{!Calendar} pooling discipline. *)
+    The serving hot path ({!Sched.Service}) keeps its per-service
+    request queues here: push/pop are O(1) amortized over preallocated
+    arrays, so steady-state traffic allocates nothing. Capacity grows
+    by doubling and only shrinks via {!clear}, mirroring the
+    {!Engine}/{!Calendar} pooling discipline. *)
 
 type t
 
@@ -21,17 +21,13 @@ val push : t -> float -> int -> unit
 (** Append one (float, int) pair at the tail. *)
 
 val peek_f : t -> float
-val peek_i : t -> int
-(** Oldest element's lanes. Raise [Invalid_argument] when empty. *)
+(** Oldest element's float lane. Raises [Invalid_argument] when
+    empty. *)
 
 val pop : t -> int
 (** Remove the oldest element, returning its int lane (read the float
     lane first with {!peek_f} when needed). Raises [Invalid_argument]
     when empty. *)
-
-val get_f : t -> int -> float
-val get_i : t -> int -> int
-(** Random access by distance from the head ([0] = oldest). *)
 
 val iter : t -> (float -> int -> unit) -> unit
 (** Oldest-to-newest iteration. *)
@@ -44,8 +40,3 @@ val detach : t -> t
     (backing-array swap) and leaves [src] empty with zero capacity.
     Migration drain uses this to carry a deep backlog without copying
     or per-element allocation. *)
-
-val transfer : src:t -> dst:t -> unit
-(** Append all of [src] onto [dst] (O(1) array swap when [dst] is
-    empty, element moves otherwise) and empty [src]. No per-element
-    allocation. *)
