@@ -8,11 +8,14 @@
       host time printed; host cost is perfbench's to gate, not this
       harness's.
 
-   2. Is the streamed path's memory really independent of trace
-      length? A 64x longer run must not allocate meaningfully more
-      minor-heap words per request (flatness), and its top-of-heap
-      watermark must stay in the same band rather than scaling with
-      the trace.
+   2. Is the streamed path's allocation independent of trace length?
+      A 64x longer run may allocate at most 1.5x the words per request
+      of the short one (flatness), and under 1000. The top-of-heap
+      watermark is checked once, after the million-request run: under
+      256 MB, far below the heap a materialized trace of that length
+      needs (near 500 MB). It is the process's watermark, so it also
+      counts every experiment run before this one. No check compares
+      the watermark across trace lengths.
 
    The scenario is a high-rate MMPP burst mix sized so one run serves
    over a million requests (the committed ">= 1M requests, one
@@ -76,8 +79,9 @@ let run ppf =
   Shape.check ppf "million-request run peaks under 256 MB of heap"
     (streamed_top_mb < 256.0);
   (* Allocation flatness: words allocated per request must not grow
-     with trace length (64x more requests, same per-request cost), and
-     the heap watermark must stay in a constant band. *)
+     with trace length (64x more requests, at most 1.5x the words per
+     request) and must stay small. The heap watermark's one check is
+     the 256 MB ceiling above. *)
   let short, w_short = words_per_request big_cfg 16_000 in
   let long, w_long = words_per_request big_cfg 1_024_000 in
   Format.fprintf ppf
