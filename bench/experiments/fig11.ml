@@ -43,7 +43,9 @@ let native () =
     Isa.Cost_model.seconds_for x86.Machine.Server.cost
       spec.Workload.Spec.category ~instructions:main_work
   in
-  Kernel.Popcorn.attach_sensors cluster.Hetmig.Het.pop ~hz:100.0 ~until:20.0;
+  let sensors = Obs.create () in
+  Kernel.Popcorn.attach_sensors cluster.Hetmig.Het.pop sensors ~hz:100.0
+    ~until:20.0;
   Hetmig.Het.start cluster proc;
   Sim.Engine.schedule cluster.Hetmig.Het.engine ~at:migrate_at (fun () ->
       Hetmig.Het.migrate cluster proc ~to_node:1);
@@ -51,14 +53,14 @@ let native () =
   let total_s =
     match proc.Kernel.Process.finished_at with Some t -> t | None -> nan
   in
-  let trace = cluster.Hetmig.Het.pop.Kernel.Popcorn.trace in
-  let series name = Sim.Trace.series trace name in
   let dt = 1.0 in
-  let sample name =
-    Sim.Trace.resample (series name) ~dt ~t_end:(total_s +. 1.0)
+  let sample pid name =
+    Sim.Stats.resample
+      (Obs.counter_series sensors ~pid ~name ~arg:"value")
+      ~dt ~t_end:(total_s +. 1.0)
   in
-  let arm_w = sample "node1.system_w" and arm_l = sample "node1.load" in
-  let x86_w = sample "node0.system_w" and x86_l = sample "node0.load" in
+  let arm_w = sample 1 "system_w" and arm_l = sample 1 "load" in
+  let x86_w = sample 0 "system_w" and x86_l = sample 0 "load" in
   let rows =
     List.init (Array.length arm_w) (fun i ->
         { time = float_of_int i *. dt; arm_w = arm_w.(i); arm_load = arm_l.(i);

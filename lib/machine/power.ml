@@ -15,21 +15,3 @@ let system_power m ~utilization = cpu_power m ~utilization +. m.platform_w
 
 let scale m f =
   { m with cpu_idle_w = m.cpu_idle_w *. f; cpu_max_w = m.cpu_max_w *. f }
-
-module Sensor = struct
-  let attach engine trace model ~name ~hz ~until ~utilization =
-    let period = 1.0 /. hz in
-    let rec sample () =
-      let now = Sim.Engine.now engine in
-      if now <= until then begin
-        let u = utilization () in
-        Sim.Trace.record trace ~series:(name ^ ".cpu_w") ~time:now
-          (cpu_power model ~utilization:u);
-        Sim.Trace.record trace ~series:(name ^ ".system_w") ~time:now
-          (system_power model ~utilization:u);
-        Sim.Trace.record trace ~series:(name ^ ".load") ~time:now (u *. 100.0);
-        Sim.Engine.schedule_in engine ~after:period sample
-      end
-    in
-    sample ()
-end

@@ -1,11 +1,12 @@
-(** Power models and sensors.
+(** Power models.
 
     The paper measures power through on-board sensors (Intel RAPL on x86, an
     I2C power regulator on the ARM board) and externally through shunt
     resistors sampled at 100 Hz, observing that external readings are
     proportional to internal ones. We model CPU (package) power as an affine
     function of utilization, and system (external) power as the CPU power
-    plus a platform base. *)
+    plus a platform base. The 100 Hz sensors are
+    [Kernel.Popcorn.attach_sensors]. *)
 
 type model = {
   cpu_idle_w : float;  (** package power at zero load *)
@@ -22,20 +23,3 @@ val system_power : model -> utilization:float -> float
 
 val scale : model -> float -> model
 (** Scale CPU idle/max power by a factor (platform and sleep unchanged). *)
-
-(** A sensor samples a utilization signal at a fixed rate into a trace,
-    mimicking the 100 Hz DAQ of the paper's testbed. *)
-module Sensor : sig
-  val attach :
-    Sim.Engine.t ->
-    Sim.Trace.t ->
-    model ->
-    name:string ->
-    hz:float ->
-    until:float ->
-    utilization:(unit -> float) ->
-    unit
-  (** Record series ["<name>.cpu_w"], ["<name>.system_w"] and
-      ["<name>.load"] every [1/hz] seconds of simulated time up to
-      [until]. *)
-end

@@ -46,6 +46,11 @@ let of_arch = function
 
 let with_power t power = { t with power }
 
+let load_watts t =
+  Array.init (t.cores + 1) (fun k ->
+      Power.system_power t.power
+        ~utilization:(float_of_int k /. float_of_int t.cores))
+
 let peak_mips t cat = float_of_int t.cores *. Isa.Cost_model.mips t.cost cat
 
 let pp ppf t =

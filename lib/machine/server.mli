@@ -25,6 +25,13 @@ val of_arch : Isa.Arch.t -> t
 
 val with_power : t -> Power.model -> t
 
+val load_watts : t -> float array
+(** System power at [k] busy threads, for [k = 0 .. cores]. A heavier
+    load draws what [cores] threads draw, since utilization saturates at
+    the core count: read index [min k cores]. The one table from thread
+    load to watts; [Kernel.Popcorn], [Sched.Cluster] and [Sched.Service]
+    all read it. *)
+
 val peak_mips : t -> Isa.Cost_model.category -> float
 (** All-cores aggregate MIPS for a workload category. *)
 

@@ -197,6 +197,22 @@ let histogram_samples t name =
     | Some _ | None -> None
   end
 
+let counter_series t ~pid ~name ~arg =
+  match t with
+  | Noop -> []
+  | Active st ->
+    (* [events] is newest first, so consing while folding left yields
+       recording order. *)
+    List.fold_left
+      (fun acc e ->
+        if e.ph = 'C' && e.pid = pid && e.name = name then
+          match List.assoc_opt arg e.args with
+          | Some (F v) -> (e.ts, v) :: acc
+          | Some (I i) -> (e.ts, float_of_int i) :: acc
+          | Some (S _) | None -> acc
+        else acc)
+      [] st.events
+
 (* --- exporters --------------------------------------------------------- *)
 
 let json_escape s =

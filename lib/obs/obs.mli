@@ -116,6 +116,13 @@ val gauge_value : t -> string -> float option
 val histogram_samples : t -> string -> float list option
 (** Samples in recording order. *)
 
+val counter_series :
+  t -> pid:int -> name:string -> arg:string -> (float * float) list
+(** [(ts, value)] of [arg] in every {!counter_sample} of the track [name]
+    under [pid], in recording order. An [I] value is converted to a
+    float; a sample whose [arg] is missing or a string is skipped. [[]]
+    under {!noop}. *)
+
 (** {1 Exporters} *)
 
 val chrome_json : t -> string

@@ -232,21 +232,14 @@ let efficiency (m : Machine.Server.t) cat =
   Machine.Server.peak_mips m cat
   /. Machine.Power.system_power m.Machine.Server.power ~utilization:1.0
 
-(* One node's power draw at a thread load. *)
-let load_power (m : Machine.Server.t) load =
-  let u =
-    Float.min 1.0 (float_of_int load /. float_of_int m.Machine.Server.cores)
-  in
-  Machine.Power.system_power m.Machine.Server.power ~utilization:u
-
-(* Per-node power tables, built once per run by the two functions
-   above, so the scheduler's O(N) scans and every node's energy settle
-   read a float instead of evaluating the power model. [watts.(n).(k)]
-   is node [n]'s draw at [k] threads, for [k] up to its core count: a
-   heavier load draws the same, since [load_power] clamps the
-   utilization at 1. [eff.(slot c).(n)] is node [n]'s efficiency for
-   category [c]. A lookup returns the very float the function would, so
-   sums over the tables, taken in the same order, round the same. *)
+(* Per-node power tables, built once per run, so the scheduler's O(N)
+   scans and every node's energy settle read a float instead of
+   evaluating the power model. [watts.(n)] is node [n]'s
+   [Machine.Server.load_watts]: its draw at [k] threads, for [k] up to
+   its core count, where a heavier load draws the same.
+   [eff.(slot c).(n)] is node [n]'s [efficiency] for category [c]. A
+   lookup returns the very float the function would, so sums over the
+   tables, taken in the same order, round the same. *)
 type tables = { watts : float array array; eff : float array array }
 
 let slot : Isa.Cost_model.category -> int = function
@@ -257,18 +250,14 @@ let slot : Isa.Cost_model.category -> int = function
 
 let tables_of (servers : Machine.Server.t array) =
   {
-    watts =
-      Array.map
-        (fun (m : Machine.Server.t) ->
-          Array.init (m.Machine.Server.cores + 1) (load_power m))
-        servers;
+    watts = Array.map Machine.Server.load_watts servers;
     eff =
       Array.map
         (fun cat -> Array.map (fun m -> efficiency m cat) servers)
         Isa.Cost_model.[| Compute; Memory; Branch; Mixed |];
   }
 
-(* Node [n]'s power draw at thread load [load >= 0]: [load_power]. *)
+(* Node [n]'s power draw at thread load [load >= 0]. *)
 let[@inline] watts_at tb n load =
   let row = tb.watts.(n) in
   row.(Int.min load (Array.length row - 1))

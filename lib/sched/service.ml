@@ -255,16 +255,9 @@ let is_x86_node i = i mod 2 = 0
 (* A node's power state: off when crashed, the low-power state when it
    hosts nothing (service-free servers sleep — the energy the SLO policy
    harvests by parking idle services on fewer machines), else the affine
-   utilization model, read from the per-node [power_tbl] indexed by the
-   in-flight count (clamped at the core count, where utilization
-   saturates). *)
-let power_table (m : Machine.Server.t) =
-  let cores = m.Machine.Server.cores in
-  Array.init (cores + 1) (fun busy ->
-      Machine.Power.system_power m.Machine.Server.power
-        ~utilization:
-          (Float.min 1.0 (float_of_int busy /. float_of_int cores)))
-
+   utilization model, read from the node's [Machine.Server.load_watts]
+   table indexed by the in-flight count (clamped at the core count,
+   where utilization saturates). *)
 let settle ns ~now =
   let nf = ns.nf in
   let p =
@@ -384,7 +377,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
         {
           node_id = i;
           machine = machine_for i;
-          power_tbl = power_table (machine_for i);
+          power_tbl = Machine.Server.load_watts (machine_for i);
           nf =
             {
               energy_j = 0.0;

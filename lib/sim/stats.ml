@@ -173,3 +173,20 @@ let geometric_mean xs =
   | _ ->
     let s = List.fold_left (fun acc x -> acc +. log x) 0.0 xs in
     exp (s /. float_of_int (List.length xs))
+
+let resample samples ~dt ~t_end =
+  let n = int_of_float (Float.ceil (t_end /. dt)) in
+  let out = Array.make (max n 0) 0.0 in
+  let rec fill samples current i =
+    if i >= Array.length out then ()
+    else begin
+      let time = float_of_int i *. dt in
+      match samples with
+      | (st, sv) :: rest when st <= time -> fill rest sv i
+      | _ ->
+        out.(i) <- current;
+        fill samples current (i + 1)
+    end
+  in
+  fill samples 0.0 0;
+  out

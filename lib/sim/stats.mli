@@ -65,3 +65,9 @@ val percentile : histogram -> float -> float
 
 val geometric_mean : float list -> float
 (** Geometric mean of positive values. *)
+
+val resample : (float * float) list -> dt:float -> t_end:float -> float array
+(** [resample samples ~dt ~t_end] converts a step signal (value holds until
+    the next sample; [samples] in chronological order) into a dense array
+    with period [dt] covering [\[0, t_end)]. Before the first sample the
+    value is 0. Used for the Figure 11 power and load rows. *)

@@ -34,18 +34,6 @@ let power_figure11_envelope () =
     (let p = Machine.Power.system_power a ~utilization:1.0 in
      p > 60.0 && p < 90.0)
 
-let sensor_samples_at_rate () =
-  let engine = Sim.Engine.create () in
-  let trace = Sim.Trace.create () in
-  let m = Machine.Server.xeon_e5_1650_v2.Machine.Server.power in
-  Machine.Power.Sensor.attach engine trace m ~name:"n" ~hz:100.0 ~until:0.5
-    ~utilization:(fun () -> 0.5);
-  Sim.Engine.run engine;
-  let samples = Sim.Trace.series trace "n.cpu_w" in
-  checkb "~50 samples at 100 Hz over 0.5 s" true
-    (List.length samples >= 50 && List.length samples <= 52);
-  checkb "load series too" true (Sim.Trace.series trace "n.load" <> [])
-
 let mcpat_projection () =
   let m = Machine.Server.xgene1.Machine.Server.power in
   let p = Machine.Mcpat.project_finfet m in
@@ -179,7 +167,6 @@ let suite =
     ("power clamps utilization", `Quick, power_clamped);
     ("system power includes platform", `Quick, power_system_includes_platform);
     ("power envelopes match Figure 11", `Quick, power_figure11_envelope);
-    ("sensor samples at 100 Hz", `Quick, sensor_samples_at_rate);
     ("mcpat finfet projection", `Quick, mcpat_projection);
     ("interconnect transfer times", `Quick, interconnect_transfer_times);
     ("pcie beats ethernet", `Quick, interconnect_ethernet_slower);

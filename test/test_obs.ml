@@ -29,6 +29,33 @@ let span_api () =
   checks "span name" "m" v.Obs.v_name;
   checki "name filter" 1 (List.length (Obs.spans ~name:"compute" t))
 
+let counter_series_reads_back () =
+  let t = Obs.create () in
+  let sample ts pid name args = Obs.counter_sample t ~ts ~pid ~name ~args in
+  sample 2.0 0 "w" [ ("value", Obs.F 5.5) ];
+  sample 1.0 0 "w" [ ("value", Obs.I 3) ];
+  sample 1.5 1 "w" [ ("value", Obs.F 9.0) ];
+  sample 1.5 0 "load" [ ("value", Obs.F 50.0) ];
+  sample 3.0 0 "w" [ ("other", Obs.F 7.0) ];
+  sample 4.0 0 "w" [ ("value", Obs.S "x") ];
+  sample 5.0 0 "w" [ ("other", Obs.F 1.0); ("value", Obs.F 6.0) ];
+  Obs.instant t ~ts:6.0 ~pid:0 ~tid:0 ~cat:"c" ~name:"w"
+    ~args:[ ("value", Obs.F 8.0) ] ();
+  let series pid name arg = Obs.counter_series t ~pid ~name ~arg in
+  let pairs = Alcotest.(list (pair (float 0.0) (float 0.0))) in
+  Alcotest.check pairs "recording order, ints as floats, gaps skipped"
+    [ (2.0, 5.5); (1.0, 3.0); (5.0, 6.0) ]
+    (series 0 "w" "value");
+  Alcotest.check pairs "other pid" [ (1.5, 9.0) ] (series 1 "w" "value");
+  Alcotest.check pairs "other name" [ (1.5, 50.0) ] (series 0 "load" "value");
+  Alcotest.check pairs "other arg" [ (3.0, 7.0); (5.0, 1.0) ]
+    (series 0 "w" "other");
+  Alcotest.check pairs "unknown track" [] (series 2 "w" "value");
+  Obs.counter_sample Obs.noop ~ts:0.0 ~pid:0 ~name:"w"
+    ~args:[ ("value", Obs.F 1.0) ];
+  Alcotest.check pairs "noop" []
+    (Obs.counter_series Obs.noop ~pid:0 ~name:"w" ~arg:"value")
+
 let spans_in_recording_order () =
   let t = Obs.create () in
   List.iter
@@ -197,6 +224,7 @@ let suite =
   [
     ("span API", `Quick, span_api);
     ("spans keep recording order", `Quick, spans_in_recording_order);
+    ("counter series read back", `Quick, counter_series_reads_back);
     ("metrics API", `Quick, metrics_api);
     ("metric kind conflicts raise", `Quick, metric_kind_conflict);
     ("noop sink records nothing", `Quick, noop_records_nothing);

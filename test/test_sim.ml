@@ -352,32 +352,11 @@ let engine_many_events_stress () =
   Sim.Engine.run e;
   check Alcotest.int "all fired" 5000 !count
 
-(* --- Trace ------------------------------------------------------------- *)
-
-let trace_roundtrip () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.record t ~series:"p" ~time:0.0 1.0;
-  Sim.Trace.record t ~series:"p" ~time:1.0 2.0;
-  Sim.Trace.record t ~series:"q" ~time:0.5 9.0;
-  check
-    Alcotest.(list (pair (float 1e-9) (float 1e-9)))
-    "series p"
-    [ (0.0, 1.0); (1.0, 2.0) ]
-    (Sim.Trace.series t "p");
-  check Alcotest.(list string) "names" [ "p"; "q" ] (Sim.Trace.series_names t)
-
-let trace_integrate_step () =
-  (* 1 W for 1 s then 3 W for 1 s = 4 J. *)
-  let samples = [ (0.0, 1.0); (1.0, 3.0) ] in
-  checkf "energy" 4.0 (Sim.Trace.integrate samples ~t_end:2.0)
-
-let trace_integrate_before_first_sample () =
-  let samples = [ (1.0, 2.0) ] in
-  checkf "zero before first" 2.0 (Sim.Trace.integrate samples ~t_end:2.0)
+(* --- Trace resampling (Stats.resample) ---------------------------------- *)
 
 let trace_resample () =
   let samples = [ (0.0, 1.0); (1.0, 5.0) ] in
-  let arr = Sim.Trace.resample samples ~dt:0.5 ~t_end:2.0 in
+  let arr = Sim.Stats.resample samples ~dt:0.5 ~t_end:2.0 in
   check
     Alcotest.(array (float 1e-9))
     "step signal" [| 1.0; 1.0; 5.0; 5.0 |] arr
@@ -386,23 +365,13 @@ let farr = Alcotest.(array (float 1e-9))
 
 let trace_resample_edges () =
   check farr "empty series is all zeros" [| 0.0; 0.0; 0.0; 0.0 |]
-    (Sim.Trace.resample [] ~dt:0.5 ~t_end:2.0);
+    (Sim.Stats.resample [] ~dt:0.5 ~t_end:2.0);
   check farr "zero before a late single sample" [| 0.0; 3.0; 3.0 |]
-    (Sim.Trace.resample [ (0.5, 3.0) ] ~dt:0.5 ~t_end:1.5);
+    (Sim.Stats.resample [ (0.5, 3.0) ] ~dt:0.5 ~t_end:1.5);
   check farr "dt larger than the window collapses to one bin" [| 2.0 |]
-    (Sim.Trace.resample [ (0.0, 2.0) ] ~dt:5.0 ~t_end:2.0);
+    (Sim.Stats.resample [ (0.0, 2.0) ] ~dt:5.0 ~t_end:2.0);
   check farr "empty window yields an empty array" [||]
-    (Sim.Trace.resample [ (0.0, 2.0) ] ~dt:0.5 ~t_end:0.0)
-
-let trace_integrate_edges () =
-  checkf "empty series integrates to zero" 0.0
-    (Sim.Trace.integrate [] ~t_end:5.0);
-  checkf "sample exactly at t_end contributes nothing" 0.0
-    (Sim.Trace.integrate [ (2.0, 5.0) ] ~t_end:2.0);
-  checkf "step ending exactly at t_end uses the prior value" 2.0
-    (Sim.Trace.integrate [ (0.0, 1.0); (2.0, 9.0) ] ~t_end:2.0);
-  checkf "single mid-window sample holds to t_end" 3.0
-    (Sim.Trace.integrate [ (1.0, 3.0) ] ~t_end:2.0)
+    (Sim.Stats.resample [ (0.0, 2.0) ] ~dt:0.5 ~t_end:0.0)
 
 (* NaN poisons every order-statistic; the stats layer rejects it loudly
    instead of letting Float.compare sort it to an end of the array. *)
@@ -490,22 +459,6 @@ let percentile_edge_cases () =
   checkf "two-sample median at the shared edge" 10.0
     (Sim.Stats.percentile h2 0.5)
 
-let trace_series_names_sorted () =
-  let t = Sim.Trace.create () in
-  List.iter
-    (fun i ->
-      Sim.Trace.record t
-        ~series:(Printf.sprintf "s%02d" i)
-        ~time:0.0 (float_of_int i))
-    [ 5; 3; 9; 1; 0; 8; 2; 7; 6; 4 ];
-  checkb "names sorted regardless of registration order" true
-    (Sim.Trace.series_names t
-    = List.init 10 (fun i -> Printf.sprintf "s%02d" i));
-  Sim.Trace.record t ~series:"s03" ~time:1.0 42.0;
-  checkb "samples stay in time order per series" true
-    (Sim.Trace.series t "s03" = [ (0.0, 3.0); (1.0, 42.0) ]);
-  checkb "unknown series is empty" true (Sim.Trace.series t "zz" = [])
-
 let suite =
   [
     ("prng deterministic", `Quick, prng_deterministic);
@@ -539,15 +492,10 @@ let suite =
     ("engine rejects past", `Quick, engine_rejects_past);
     ("engine run_until", `Quick, engine_run_until);
     ("engine 5000-event stress", `Quick, engine_many_events_stress);
-    ("trace roundtrip", `Quick, trace_roundtrip);
-    ("trace integrate", `Quick, trace_integrate_step);
-    ("trace integrate before first", `Quick, trace_integrate_before_first_sample);
     ("trace resample", `Quick, trace_resample);
     ("trace resample edge cases", `Quick, trace_resample_edges);
-    ("trace integrate edge cases", `Quick, trace_integrate_edges);
     ("stats rejects NaN", `Quick, stats_nan_raises);
     ("stats numeric sort order", `Quick, stats_sorts_with_float_compare);
     ("log histogram rejects negatives", `Quick, stats_log_histogram_rejects);
     ("percentile edge cases", `Quick, percentile_edge_cases);
-    ("trace series names sorted", `Quick, trace_series_names_sorted);
   ]
