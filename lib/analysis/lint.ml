@@ -65,8 +65,6 @@ let static_checks ~label prog =
             ],
           None )
 
-let lint_program ~label prog = fst (static_checks ~label prog)
-
 let validate_rules = function
   | None -> ()
   | Some ids ->

@@ -24,10 +24,6 @@ val rules : (string * Diagnostic.severity * string) list
 
 val is_rule : string -> bool
 
-val lint_program : label:string -> Ir.Prog.t -> Diagnostic.t list
-(** Static passes only (1–4): check the IR, compile it, and verify the
-    binary's metadata. A compile failure becomes a [toolchain-reject]
-    diagnostic rather than an exception. *)
 
 val lint_target : ?rules:string list -> target -> Diagnostic.t list
 (** All five passes over one benchmark program; [rules] restricts to the

@@ -47,16 +47,6 @@ let address_of t name =
 let find_at t addr =
   List.find_opt (fun p -> addr >= p.addr && addr < p.addr + p.reserved) t.placed
 
-let total_padding t =
-  let reserved = List.fold_left (fun acc p -> acc + p.reserved) 0 t.placed in
-  let sizes =
-    List.fold_left (fun acc p -> acc + p.symbol.Memsys.Symbol.size) 0 t.placed
-  in
-  reserved - sizes
-
-let end_address t =
-  List.fold_left (fun acc (_, (_, e)) -> max acc e) 0 t.section_bounds
-
 let check_no_overlap t =
   let sorted = List.sort (fun a b -> compare a.addr b.addr) t.placed in
   let rec check = function

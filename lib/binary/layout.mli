@@ -32,11 +32,5 @@ val find_at : t -> int -> placed option
 (** The placed symbol whose [addr, addr+reserved) range contains the
     address. *)
 
-val total_padding : t -> int
-(** Bytes reserved beyond symbol sizes (alignment gaps + function padding). *)
-
-val end_address : t -> int
-(** First address past the last section. *)
-
 val check_no_overlap : t -> (unit, string) result
 (** Verifies placements are disjoint and inside their section bounds. *)

@@ -113,8 +113,3 @@ let natural_layouts prog =
       (arch, Binary.Layout.natural ~base:Binary.Layout.text_base obj))
     Isa.Arch.all
 
-let text_pages t arch =
-  let layout = Binary.Align.layout_for t.aligned arch in
-  match List.assoc_opt Memsys.Symbol.Text layout.Binary.Layout.section_bounds with
-  | None -> []
-  | Some (start, stop) -> Memsys.Page.span ~addr:start ~len:(stop - start)

@@ -45,5 +45,3 @@ val natural_layouts : Ir.Prog.t -> (Isa.Arch.t * Binary.Layout.t) list
 (** What a stock linker would produce per ISA, *without* symbol alignment
     — the "unaligned" baseline of Table 1. *)
 
-val text_pages : t -> Isa.Arch.t -> int list
-(** Page numbers of the (aliased) text section. *)

@@ -4,8 +4,6 @@ type t = {
   by_kind : (string, Plan.msg_fault) Hashtbl.t;
   wildcard : Plan.msg_fault option;
   mutable drops : int;
-  mutable delays : int;
-  mutable page_timeouts : int;
 }
 
 let create (plan : Plan.t) ~kinds =
@@ -29,8 +27,6 @@ let create (plan : Plan.t) ~kinds =
     by_kind;
     wildcard = !wildcard;
     drops = 0;
-    delays = 0;
-    page_timeouts = 0;
   }
 
 let plan t = t.plan
@@ -57,16 +53,9 @@ let delivery_delay t ~kind =
   match fault_for t ~kind with
   | None -> 0.0
   | Some f ->
-    if bernoulli t f.Plan.delay then begin
-      t.delays <- t.delays + 1;
-      f.Plan.delay_s
-    end
-    else 0.0
+    if bernoulli t f.Plan.delay then f.Plan.delay_s else 0.0
 
-let page_timeout t =
-  let hit = bernoulli t t.plan.Plan.page_timeout_rate in
-  if hit then t.page_timeouts <- t.page_timeouts + 1;
-  hit
+let page_timeout t = bernoulli t t.plan.Plan.page_timeout_rate
 
 let page_timeout_penalty_s t = t.plan.Plan.page_timeout_penalty_s
 let retry_budget t = t.plan.Plan.retry_budget
@@ -77,5 +66,3 @@ let backoff t ~attempt =
 
 let crashes t = t.plan.Plan.crashes
 let drops_injected t = t.drops
-let delays_injected t = t.delays
-let page_timeouts_injected t = t.page_timeouts

@@ -41,5 +41,3 @@ val crashes : t -> Plan.crash list
 (* Injection counters (what actually happened this run). *)
 
 val drops_injected : t -> int
-val delays_injected : t -> int
-val page_timeouts_injected : t -> int

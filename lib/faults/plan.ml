@@ -86,11 +86,6 @@ let uniform ?seed ?retry_budget ~drop () =
     ~messages:[ { kind = "*"; drop; delay = 0.0; delay_s = 0.0 } ]
     ()
 
-let is_zero t =
-  t.crashes = []
-  && t.page_timeout_rate = 0.0
-  && List.for_all (fun f -> f.drop = 0.0 && f.delay = 0.0) t.messages
-
 let pp ppf t =
   Format.fprintf ppf "plan{seed=%d; retry=%d; backoff=%gus" t.seed
     t.retry_budget (t.backoff_base_s *. 1e6);

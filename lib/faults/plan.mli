@@ -63,8 +63,4 @@ val uniform : ?seed:int -> ?retry_budget:int -> drop:float -> unit -> t
 (** [uniform ~drop ()] drops every message kind with probability
     [drop]; shorthand for a single ["*"] entry. *)
 
-val is_zero : t -> bool
-(** True when the plan can never inject a fault (the {!zero} plan, or
-    any plan whose rates are all 0 and crash list empty). *)
-
 val pp : Format.formatter -> t -> unit

@@ -56,10 +56,6 @@ let argument = function
   | Arch.X86_64 ->
     of_names Arch.X86_64 [ "rdi"; "rsi"; "rdx"; "rcx"; "r8"; "r9" ]
 
-let return_value = function
-  | Arch.Arm64 -> by_name Arch.Arm64 "x0"
-  | Arch.X86_64 -> by_name Arch.X86_64 "rax"
-
 let stack_pointer = function
   | Arch.Arm64 -> by_name Arch.Arm64 "sp"
   | Arch.X86_64 -> by_name Arch.X86_64 "rsp"

@@ -28,9 +28,6 @@ val argument : Arch.t -> t list
 (** Integer argument registers in ABI order:
     ARM64: x0-x7; x86-64 SysV: rdi, rsi, rdx, rcx, r8, r9. *)
 
-val return_value : Arch.t -> t
-(** x0 / rax. *)
-
 val stack_pointer : Arch.t -> t
 val frame_pointer : Arch.t -> t
 

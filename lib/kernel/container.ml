@@ -18,15 +18,3 @@ let span t ~residual =
       t.processes
   in
   List.sort_uniq compare nodes
-
-let alive t = List.exists Process.alive t.processes
-
-let thread_count t =
-  List.fold_left
-    (fun acc (p : Process.t) ->
-      acc
-      + List.length
-          (List.filter
-             (fun (th : Process.thread) -> th.Process.status <> Process.Done)
-             p.Process.threads))
-    0 t.processes

@@ -20,6 +20,3 @@ val span : t -> residual:(Process.t -> bool) -> int list
 (** Nodes the container currently spans: every node running one of its
     threads, plus each process's home node while [residual] reports that
     process still has residual dependencies there. Sorted, deduplicated. *)
-
-val alive : t -> bool
-val thread_count : t -> int

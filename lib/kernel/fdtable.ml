@@ -103,4 +103,3 @@ let fds t ~node ~pid =
   collect 0 []
 
 let consistent t ~pid = Service.consistent t.svc ~pid
-let drop_process t ~pid = Service.drop_process t.svc ~pid

@@ -32,4 +32,3 @@ val fds : t -> node:int -> pid:int -> fd list
 (** Open descriptors, ascending. *)
 
 val consistent : t -> pid:int -> bool
-val drop_process : t -> pid:int -> unit

@@ -1,6 +1,5 @@
 type t = { flags : (int, int) Hashtbl.t; mutable polls : int }
 
-let page_address = 0x7FFF_F000_0000
 let create () = { flags = Hashtbl.create 32; polls = 0 }
 
 let request t ~tid ~dest = Hashtbl.replace t.flags tid dest

@@ -13,9 +13,6 @@
 
 type t
 
-val page_address : int
-(** The fixed virtual address every process maps the page at. *)
-
 val create : unit -> t
 
 val request : t -> tid:int -> dest:int -> unit

@@ -131,9 +131,6 @@ let head_path t ~dst =
 let link_transfer_time l ~bytes =
   l.latency_s +. (float_of_int (bytes * 8) /. l.bandwidth_bps)
 
-let transfer_time t ~src ~dst ~bytes =
-  link_transfer_time (path t ~src ~dst) ~bytes
-
 (* Request message (small) + response carrying the page, as in
    {!Interconnect.page_transfer_time}. *)
 let page_transfer_time_link l ~page_bytes =
@@ -175,5 +172,3 @@ let describe t =
          (t.local.bandwidth_bps /. 1e9)
          (t.aggregation.latency_s *. 1e6)
          (t.aggregation.bandwidth_bps /. 1e9))
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

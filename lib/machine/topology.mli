@@ -74,7 +74,6 @@ val head_path : t -> dst:int -> link
     ToR) to a node. Cold working sets stream over this. *)
 
 val link_transfer_time : link -> bytes:int -> float
-val transfer_time : t -> src:int -> dst:int -> bytes:int -> float
 
 val page_transfer_time_link : link -> page_bytes:int -> float
 (** Request + response carrying one page, as in
@@ -94,4 +93,3 @@ val min_path_latency : t -> float
     lookahead adds on top of the control epoch. *)
 
 val describe : t -> string
-val pp : Format.formatter -> t -> unit

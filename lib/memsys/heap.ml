@@ -20,7 +20,6 @@ let create ~base ~bytes =
     live = Hashtbl.create 64 }
 
 let base t = t.hbase
-let size t = t.hsize
 
 let malloc t request =
   let need = header + align_up (max request 1) granule in

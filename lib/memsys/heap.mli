@@ -16,7 +16,6 @@ val create : base:int -> bytes:int -> t
 (** Manage [\[base, base+bytes)]. Both must be 16-aligned. *)
 
 val base : t -> int
-val size : t -> int
 
 val malloc : t -> int -> int option
 (** First-fit allocation, 16-byte aligned, with a 16-byte header

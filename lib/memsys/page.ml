@@ -26,7 +26,6 @@ let range_of_span ~addr ~len =
     { first; count = last - first + 1 }
   end
 
-let range_mem r page = page >= r.first && page < r.first + r.count
 let range_pages r = List.init r.count (fun i -> r.first + i)
 let ranges_count rs = List.fold_left (fun acc r -> acc + r.count) 0 rs
 let ranges_pages rs = List.concat_map range_pages rs

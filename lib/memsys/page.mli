@@ -33,7 +33,6 @@ val range_of_span : addr:int -> len:int -> range
 (** Range covering the byte range [\[addr, addr+len)] ([count = 0] when
     [len <= 0]). *)
 
-val range_mem : range -> int -> bool
 val range_pages : range -> int list
 (** Materialize the page numbers (intended for tests/small ranges). *)
 

@@ -21,8 +21,3 @@ let make ~name ~section ~size ~alignment =
   { name; section; size; alignment }
 
 let is_function t = t.section = Text
-
-let pp ppf t =
-  Format.fprintf ppf "%s@%s size=%d align=%d" t.name
-    (section_to_string t.section)
-    t.size t.alignment

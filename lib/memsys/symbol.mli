@@ -26,5 +26,3 @@ val make : name:string -> section:section -> size:int -> alignment:int -> t
 
 val is_function : t -> bool
 (** Symbols in [.text]. *)
-
-val pp : Format.formatter -> t -> unit

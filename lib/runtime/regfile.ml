@@ -45,9 +45,3 @@ let set_lanes t r lanes =
   check t r;
   Array.iteri (fun i v -> Hashtbl.replace t.values (lane_key r i) v) lanes
 
-let copy t =
-  { rf_arch = t.rf_arch; values = Hashtbl.copy t.values; pc = t.pc }
-
-let nonzero t =
-  Hashtbl.fold (fun k v acc -> if v <> 0L then (k, v) :: acc else acc) t.values []
-  |> List.sort compare

@@ -25,6 +25,3 @@ val get_lanes : t -> Isa.Register.t -> int -> int64 array
 
 val set_lanes : t -> Isa.Register.t -> int64 array -> unit
 
-val copy : t -> t
-val nonzero : t -> (string * int64) list
-(** Registers holding non-zero values, for debugging dumps. *)

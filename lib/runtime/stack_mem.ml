@@ -26,10 +26,6 @@ let write t addr v =
   check t addr;
   Hashtbl.replace t.cells addr v
 
-let written_words t =
-  Hashtbl.fold (fun addr v acc -> (addr, v) :: acc) t.cells []
-  |> List.sort compare
-
 let halves t =
   let mid = (t.lo + ((t.hi - t.lo) / 2)) / 8 * 8 in
   ({ t with lo = mid }, { t with hi = mid })

@@ -21,9 +21,6 @@ val read : t -> int -> int64
 
 val write : t -> int -> int64 -> unit
 
-val written_words : t -> (int * int64) list
-(** All (address, value) pairs ever written, ascending by address. *)
-
 val halves : t -> t * t
 (** Split into (upper half, lower half): the upper half is where execution
     starts; the lower half receives transformed frames. Both share the

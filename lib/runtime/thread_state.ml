@@ -27,8 +27,6 @@ let innermost t =
   | f :: _ -> f
 
 let depth t = List.length t.frames
-let read_slot t fr off = Stack_mem.read t.stack (fr.fp - off)
-let write_slot t fr off v = Stack_mem.write t.stack (fr.fp - off) v
 
 let frame_of_name t name =
   match List.find_opt (fun f -> f.fname = name) t.frames with

@@ -33,11 +33,6 @@ val innermost : t -> frame
 
 val depth : t -> int
 
-val read_slot : t -> frame -> int -> int64
-(** [read_slot t fr off] reads the word at [fr.fp - off]. *)
-
-val write_slot : t -> frame -> int -> int64 -> unit
-
 val frame_of_name : t -> string -> frame
 (** Innermost frame of the named function. Raises [Not_found]. *)
 

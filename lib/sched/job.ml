@@ -9,7 +9,3 @@ let make ~jid ~spec ~threads ~arrival =
   if threads <= 0 then invalid_arg "Job.make: threads <= 0";
   if arrival < 0.0 then invalid_arg "Job.make: negative arrival";
   { jid; spec; threads; arrival }
-
-let pp ppf t =
-  Format.fprintf ppf "job%d %s x%d @%.0fs" t.jid t.spec.Workload.Spec.name
-    t.threads t.arrival

@@ -8,4 +8,3 @@ type t = {
 }
 
 val make : jid:int -> spec:Workload.Spec.t -> threads:int -> arrival:float -> t
-val pp : Format.formatter -> t -> unit
