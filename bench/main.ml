@@ -9,8 +9,13 @@
      dune exec bench/main.exe -- --seq       -- fully sequential (= --jobs 1)
      dune exec bench/main.exe -- --json P    -- write machine-readable results *)
 
+(* Selected experiments run in this order. [throughput] comes first: its
+   heap check reads the process-wide top-of-heap watermark, which would
+   otherwise count every experiment that ran before it. *)
 let experiments =
   [
+    ("throughput", "Serving throughput at scale (non-paper)",
+     Experiments.Throughput.run);
     ("fig1", "Figure 1 (emulation slowdown)", Experiments.Fig1.run);
     ("fig3-5", "Figures 3-5 (migration point gaps)", Experiments.Fig35.run);
     ("fig6-9", "Figures 6-9 (wrapper overhead)", Experiments.Fig69.run);
@@ -32,8 +37,6 @@ let experiments =
      Experiments.Cluster.run);
     ("serving", "Open-loop SLO serving (non-paper)",
      Experiments.Serving.run);
-    ("throughput", "Serving throughput at scale (non-paper)",
-     Experiments.Throughput.run);
   ]
 
 (* Wall-clock seconds: experiment grids run on multiple domains, where
