@@ -169,6 +169,12 @@ let pop t =
   end;
   payload
 
+(* The window loop's one call per event: the emptiness check, the head
+   comparison and the pop together, with no float returned (a float
+   result would be boxed on every call). *)
+let pop_before t until =
+  if t.size = 0 || t.times.(0) >= until then t.dummy else pop t
+
 let last_time t = t.last_time
 let last_src t = t.last_src
 let last_seq t = t.last_seq

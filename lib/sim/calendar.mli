@@ -36,6 +36,13 @@ val pop : 'a t -> 'a
     key is readable through {!last_time}/{!last_src}/{!last_seq} until
     the next [pop]. Raises [Invalid_argument] when empty. *)
 
+val pop_before : 'a t -> float -> 'a
+(** [pop_before cal until] is [pop cal] when the earliest pending event
+    is strictly before [until]. Otherwise (empty, or the head at or
+    after [until]) it pops nothing and returns the calendar's [dummy],
+    which the caller tells apart by physical equality ([==]); the
+    [dummy] must therefore never be pushed. *)
+
 val last_time : 'a t -> float
 val last_src : 'a t -> int
 val last_seq : 'a t -> int

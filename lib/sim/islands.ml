@@ -15,15 +15,17 @@
      window_end  = next + lookahead
 
    and every island executes all of its events with [time < window_end],
-   in (time, seq, src) key order. This is safe: an event executing at
-   time [t >= next] can only post cross-island work arriving at
-   [t + after >= next + lookahead = window_end], i.e. strictly outside
-   the current window — no island can ever receive an event earlier
-   than something it already executed. Cross-island deliveries are
-   staged in one buffer per sending island, each post tagged with its
-   destination, and pushed into the destination calendars at the window
-   barrier; because calendar keys are globally unique, push order is
-   irrelevant to execution order.
+   in (time, seq, src) key order. Only the islands with such an event
+   run: a window costs a scan of the islands' head times plus the work
+   of the active islands and their messages. This is safe: an event
+   executing at time [t >= next] can only post cross-island work
+   arriving at [t + after >= next + lookahead = window_end], i.e.
+   strictly outside the current window — no island can ever receive an
+   event earlier than something it already executed. Cross-island
+   deliveries are staged in one buffer per sending island, each post
+   tagged with its destination, and pushed into the destination
+   calendars at the window barrier; because calendar keys are globally
+   unique, push order is irrelevant to execution order.
 
    Determinism: sequence numbers are drawn from per-island counters
    (advanced only by that island's own execution, which is sequential),
@@ -128,6 +130,11 @@ type t = {
   lookahead : float;  (* window lookahead: min over all edges *)
   edge : float array array;  (* [||] when uniform *)
   islands : island array;
+  heads : float array;
+      (* each island's earliest pending event time, [infinity] when its
+         calendar is empty; exact at every window start (see [run]) *)
+  active : int array;  (* the window's islands with work, ascending *)
+  mutable n_active : int;
   mutable windows : int;
   cap_on : bool;
   prng0 : int64 array;  (* per-island fingerprints at creation (capture) *)
@@ -228,8 +235,9 @@ let create ?(capture = false) ?edge_lookahead ~islands:n
     if capture then Array.map (fun isl -> Prng.fingerprint isl.prng) islands
     else [||]
   in
-  { lookahead = window_lookahead; edge; islands; windows = 0; cap_on = capture;
-    prng0; cap_barriers = [] }
+  { lookahead = window_lookahead; edge; islands;
+    heads = Array.make n Float.infinity; active = Array.make n 0; n_active = 0;
+    windows = 0; cap_on = capture; prng0; cap_barriers = [] }
 
 let island t id = t.islands.(id)
 let id isl = isl.id
@@ -296,16 +304,18 @@ let touch isl ~owner ~resource ~write =
         :: cap.k_touches
 
 (* Run one island up to (strictly before) [until]. Actions may push more
-   local events inside the window; the loop drains them in key order. *)
+   local events inside the window; the loop drains them in key order
+   with one [Calendar.pop_before] per event. Returns the number of
+   events run. *)
 let run_island_window isl ~window ~until =
   let cal = isl.cal in
   isl.cur_window <- window;
+  let before = isl.executed in
   let continue = ref true in
   while !continue do
-    if Calendar.size cal = 0 || Calendar.min_time cal >= until then
-      continue := false
+    let act = Calendar.pop_before cal until in
+    if act == noop_action then continue := false
     else begin
-      let act = Calendar.pop cal in
       let clock_before = isl.clock in
       isl.clock <- Calendar.last_time cal;
       isl.executed <- isl.executed + 1;
@@ -332,30 +342,55 @@ let run_island_window isl ~window ~until =
             }
             :: cap.k_execs
     end
-  done
+  done;
+  isl.executed - before
 
+(* The next window's start: the earliest head time. *)
 let next_time t =
-  Array.fold_left
-    (fun acc isl -> Float.min acc (Calendar.min_time isl.cal))
-    Float.infinity t.islands
+  let heads = t.heads in
+  let next = ref Float.infinity in
+  for i = 0 to Array.length heads - 1 do
+    if heads.(i) < !next then next := heads.(i)
+  done;
+  !next
 
-(* Push every staged cross-island message into its destination's
-   calendar. Runs only at window barriers, single-threaded. Calendar
-   keys are unique, so the push order cannot change the pop order; the
-   cost is one visit per island plus one push per message. Action slots
-   are nulled out after the push so recycled buffers never retain
-   closures across windows. *)
+(* The islands with an event before [until], in ascending id order:
+   the only ones the window runs. *)
+let collect_active t ~until =
+  let heads = t.heads and active = t.active in
+  let n = ref 0 in
+  for i = 0 to Array.length heads - 1 do
+    if heads.(i) < until then begin
+      active.(!n) <- i;
+      incr n
+    end
+  done;
+  t.n_active <- !n
+
+(* Push every message [src] staged into its destination's calendar and
+   lower the destination's head time to it. Calendar keys are unique,
+   so the push order cannot change the pop order. Action slots are
+   nulled out after the push so recycled buffers never retain closures
+   across windows. *)
+let deliver_from t src =
+  let st = src.staged in
+  for i = 0 to st.s_n - 1 do
+    let dst = st.s_dsts.(i) and time = st.s_times.(i) in
+    Calendar.push t.islands.(dst).cal ~time ~src:src.id ~seq:st.s_seqs.(i)
+      st.s_acts.(i);
+    if time < t.heads.(dst) then t.heads.(dst) <- time;
+    st.s_acts.(i) <- noop_action
+  done;
+  st.s_n <- 0
+
+(* The window barrier's delivery, single-threaded. Only an island that
+   ran can have posted, so only the active islands' buffers are
+   visited: the cost is one visit per active island plus one push per
+   message. *)
 let deliver t =
-  Array.iter
-    (fun src ->
-      let st = src.staged in
-      for i = 0 to st.s_n - 1 do
-        Calendar.push t.islands.(st.s_dsts.(i)).cal ~time:st.s_times.(i)
-          ~src:src.id ~seq:st.s_seqs.(i) st.s_acts.(i);
-        st.s_acts.(i) <- noop_action
-      done;
-      st.s_n <- 0)
-    t.islands
+  for k = 0 to t.n_active - 1 do
+    deliver_from t t.islands.(t.active.(k))
+  done
 
 (* Barrier-time capture snapshot: window bounds plus every island's PRNG
    fingerprint. Runs single-threaded after [deliver], so reading the
@@ -371,20 +406,26 @@ let record_barrier t ~from ~until =
       }
       :: t.cap_barriers
 
-(* One lane's share of a window: islands [k], [k + d], [k + 2d], ... *)
+(* One lane's share of a window: the active islands [k], [k + d],
+   [k + 2d], ... Each refreshes its own head time after its window
+   (lanes write disjoint slots). Returns the events the lane ran. *)
 let run_lane t ~d k ~window ~until =
-  let i = ref k in
-  while !i < Array.length t.islands do
-    run_island_window t.islands.(!i) ~window ~until;
-    i := !i + d
-  done
+  let events = ref 0 in
+  let j = ref k in
+  while !j < t.n_active do
+    let isl = t.islands.(t.active.(!j)) in
+    events := !events + run_island_window isl ~window ~until;
+    t.heads.(isl.id) <- Calendar.min_time isl.cal;
+    j := !j + d
+  done;
+  !events
 
 (* Parallel lanes: [d - 1] persistent worker domains plus the calling
    domain as lane 0. Each window is handed to the workers under a
    mutex/condition barrier; the islands are disjoint, so lanes never
    contend on simulation state. Returns the per-window step, which
-   re-raises the first lane failure once every lane has stopped, and
-   the shutdown. *)
+   re-raises the first lane failure once every lane has stopped and
+   otherwise returns the events the window ran, and the shutdown. *)
 let parallel_lanes t d =
   let m = Mutex.create () in
   let cv = Condition.create () in
@@ -394,8 +435,9 @@ let parallel_lanes t d =
   let stop = ref false in
   let done_workers = ref 0 in
   let failure = ref None in
+  let events = Array.make d 0 in
   let guarded k ~window ~until =
-    try run_lane t ~d k ~window ~until
+    try events.(k) <- run_lane t ~d k ~window ~until
     with exn ->
       let bt = Printexc.get_raw_backtrace () in
       Mutex.lock m;
@@ -444,7 +486,7 @@ let parallel_lanes t d =
     Mutex.unlock m;
     match failed with
     | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-    | None -> ()
+    | None -> Array.fold_left ( + ) 0 events
   in
   let shutdown () =
     Mutex.lock m;
@@ -455,22 +497,48 @@ let parallel_lanes t d =
   in
   (step, shutdown)
 
+(* With [d > 1], a window runs on the calling domain, without waking
+   the other lanes, when it has a single active island or when the
+   window before it ran fewer than this many events: the barrier's
+   hand-off then costs more than the window's work. perfbench's traffic
+   places the constant between serve-diurnal's 15.8 events per window
+   and serve-burst's 229 (cluster: 722). No byte depends on which lane
+   runs an island. *)
+let thin_window_events = 64
+
 (* The window loop, whatever the domain count: only the per-window lane
    step differs, and the sequential step (one lane, the calling domain)
-   takes no lock. *)
+   takes no lock.
+
+   Head times: [t.heads.(i)] equals island [i]'s earliest pending time
+   at every window start. It is rebuilt from the calendars when [run]
+   starts (set-up code may have scheduled or posted from outside any
+   action), each island refreshes its own entry after its window, and
+   [deliver] lowers the entry of every destination it pushes to. An
+   idle island's calendar changes only through [deliver], so a window
+   costs a scan of [heads] plus the active islands' work. *)
 let run ?(domains = 1) t =
   let d = min domains (Array.length t.islands) in
+  let inline = run_lane t ~d:1 0 in
   let step, shutdown =
-    if d <= 1 then (run_lane t ~d:1 0, ignore) else parallel_lanes t d
+    if d <= 1 then (inline, ignore) else parallel_lanes t d
   in
   Fun.protect ~finally:shutdown @@ fun () ->
+  Array.iter (deliver_from t) t.islands;
+  Array.iteri (fun i isl -> t.heads.(i) <- Calendar.min_time isl.cal) t.islands;
+  let last_events = ref 0 in
   let continue = ref true in
   while !continue do
     let next = next_time t in
     if next = Float.infinity then continue := false
     else begin
       let until = next +. t.lookahead in
-      step ~window:t.windows ~until;
+      collect_active t ~until;
+      let window = t.windows in
+      last_events :=
+        if t.n_active <= 1 || !last_events < thin_window_events then
+          inline ~window ~until
+        else step ~window ~until;
       deliver t;
       record_barrier t ~from:next ~until;
       t.windows <- t.windows + 1

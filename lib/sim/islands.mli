@@ -130,14 +130,24 @@ val post : island -> dst:int -> after:float -> (island -> unit) -> unit
     struct-of-arrays buffer that accumulates the whole window's posts,
     each with its destination, and at the barrier every staged post is
     pushed into its destination's calendar. Staging memory is
-    O(islands + traffic), and delivery costs one visit per island plus
-    one push per post. Steady-state posting allocates nothing, which is
-    what amortizes barrier cost at millions-of-requests rates. *)
+    O(islands + traffic), and delivery costs one visit per island that
+    ran in the window plus one push per post. Steady-state posting
+    allocates nothing, which is what amortizes barrier cost at
+    millions-of-requests rates. A post made from outside any action
+    (set-up code) is delivered when the next {!run} starts. *)
 
 val run : ?domains:int -> t -> unit
 (** Execute until no events remain anywhere. [domains] bounds the number
     of parallel lanes (capped at the island count); [1] (the default)
-    runs the sequential reference schedule on the calling domain. *)
+    runs the sequential reference schedule on the calling domain.
+
+    A window runs only the islands with an event before its end, so an
+    idle island costs one comparison per window. With [domains > 1], a
+    window with a single such island, or one that follows a window of
+    fewer than 64 events, also runs on the calling domain without
+    waking the other lanes; no result depends on which lane runs an
+    island. Events scheduled or posted from outside any action before
+    [run], including between two [run] calls, run at their times. *)
 
 val touch : island -> owner:int -> resource:int -> write:bool -> unit
 (** Ownership observer for the audit layer: a model tags an access to

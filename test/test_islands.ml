@@ -58,6 +58,89 @@ let calendar_clear_shrinks () =
   Sim.Calendar.push cal ~time:1.0 ~src:0 ~seq:0 7;
   checki "still usable" 7 (Sim.Calendar.pop cal)
 
+(* [pop_before] is [pop] guarded by a strict [time < until] test: it
+   answers [dummy] (physically) on an empty calendar and on a head at
+   or after [until], popping nothing, and otherwise pops exactly what
+   [pop] would, with the same popped key. *)
+let calendar_pop_before () =
+  let dummy = ref (-1) in
+  let cal = Sim.Calendar.create ~dummy () in
+  checkb "empty: dummy" true (Sim.Calendar.pop_before cal 10.0 == dummy);
+  let twin = Sim.Calendar.create ~dummy () in
+  List.iter
+    (fun (time, seq, src) ->
+      let v = ref seq in
+      Sim.Calendar.push cal ~time ~src ~seq v;
+      Sim.Calendar.push twin ~time ~src ~seq v)
+    [ (2.0, 4, 1); (1.0, 3, 0); (1.0, 2, 1) ];
+  checkb "head exactly at until: dummy" true
+    (Sim.Calendar.pop_before cal 1.0 == dummy);
+  checki "head exactly at until: nothing popped" 3 (Sim.Calendar.size cal);
+  let key c =
+    (Sim.Calendar.last_time c, Sim.Calendar.last_seq c, Sim.Calendar.last_src c)
+  in
+  let same_pop () =
+    let a = Sim.Calendar.pop_before cal 2.0 in
+    let b = Sim.Calendar.pop twin in
+    a == b && key cal = key twin
+  in
+  checkb "first pop as pop's, same key" true (same_pop ());
+  checkb "second pop as pop's, same key" true (same_pop ());
+  checkb "head at until again: dummy" true
+    (Sim.Calendar.pop_before cal 2.0 == dummy);
+  checkb "popped key kept" true (key cal = (1.0, 3, 0));
+  checkb "later until pops the rest" true
+    (Sim.Calendar.pop_before cal 2.5 != dummy && Sim.Calendar.is_empty cal)
+
+(* QCheck: draining window by window with [pop_before] gives [pop]'s
+   order, key by key, for any push sequence. Each window ends a random
+   whole number of quarter steps past its head, so window ends often
+   fall exactly on a pending key. *)
+let qcheck_calendar_pop_before =
+  QCheck.Test.make ~name:"calendar: pop_before drains in pop's order"
+    ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 200)
+           (triple (int_bound 50) (int_bound 20) (int_bound 7)))
+        (int_bound 10_000))
+    (fun (keys, seed) ->
+      let fill () =
+        let cal = Sim.Calendar.create ~dummy:(-1) () in
+        List.iteri
+          (fun i (t, seq, src) ->
+            Sim.Calendar.push cal ~time:(float_of_int t /. 4.0) ~src ~seq i)
+          keys;
+        cal
+      in
+      let key c v =
+        (Sim.Calendar.last_time c, Sim.Calendar.last_seq c,
+         Sim.Calendar.last_src c, v)
+      in
+      let by_pop =
+        let cal = fill () in
+        List.init (Sim.Calendar.size cal) (fun _ ->
+            let v = Sim.Calendar.pop cal in
+            key cal v)
+      in
+      let by_window =
+        let cal = fill () and rng = Sim.Prng.create seed in
+        let out = ref [] in
+        while not (Sim.Calendar.is_empty cal) do
+          let until =
+            Sim.Calendar.min_time cal
+            +. (0.25 *. float_of_int (1 + Sim.Prng.int rng 8))
+          in
+          let continue = ref true in
+          while !continue do
+            let v = Sim.Calendar.pop_before cal until in
+            if v == -1 then continue := false else out := key cal v :: !out
+          done
+        done;
+        List.rev !out
+      in
+      by_pop = by_window)
+
 (* --- Engine.clear ------------------------------------------------------ *)
 
 let engine_clear_shrinks () =
@@ -363,6 +446,104 @@ let islands_fan_out () =
   checkb "captures identical at 1 and 4 domains" true
     (capture_of a = capture_of b)
 
+(* --- Thin windows: only active islands run -------------------------------- *)
+
+(* Mostly idle runtimes: island 0 wakes one to three random islands per
+   step; most wakes run a few events, one in four a burst of 80-200
+   events, so window sizes cross the 64-event inline threshold in both
+   directions while most islands sit idle in most windows. Every event
+   made runs, the schedule checker finds nothing in the capture, and
+   captures, window and event counts are the same at 1, 2 and 4
+   domains. *)
+let qcheck_islands_thin_windows =
+  QCheck.Test.make
+    ~name:"islands: mostly idle runs independent of domain count" ~count:20
+    QCheck.(pair (int_range 8 64) (int_bound 100_000))
+    (fun (n, seed) ->
+      let build () =
+        let rt =
+          Sim.Islands.create ~capture:true ~islands:n ~lookahead:1.0 ~seed ()
+        in
+        (* Events made, per making island (each lane writes its own). *)
+        let made = Array.make n 0 in
+        let made_one isl =
+          let i = Sim.Islands.id isl in
+          made.(i) <- made.(i) + 1
+        in
+        let rec work k isl =
+          if k > 0 then begin
+            made_one isl;
+            Sim.Islands.schedule_in isl ~after:0.004 (work (k - 1))
+          end
+        in
+        let wake isl =
+          let rng = Sim.Islands.prng isl in
+          if Sim.Prng.int rng 4 = 0 then work (80 + Sim.Prng.int rng 121) isl
+          else work (Sim.Prng.int rng 4) isl;
+          if Sim.Prng.bool rng then begin
+            made_one isl;
+            Sim.Islands.post isl ~dst:0 ~after:1.0 (fun _ -> ())
+          end
+        in
+        let rec drive steps isl =
+          if steps > 0 then begin
+            let rng = Sim.Islands.prng isl in
+            for _ = 0 to Sim.Prng.int rng 3 do
+              made_one isl;
+              Sim.Islands.post isl
+                ~dst:(1 + Sim.Prng.int rng (n - 1))
+                ~after:(1.0 +. Sim.Prng.float rng 0.5)
+                wake
+            done;
+            made_one isl;
+            Sim.Islands.schedule_in isl ~after:1.5 (drive (steps - 1))
+          end
+        in
+        Sim.Islands.schedule (Sim.Islands.island rt 0) ~at:0.0 (drive 60);
+        (rt, made)
+      in
+      let runs =
+        List.map
+          (fun domains ->
+            let rt, made = build () in
+            Sim.Islands.run ~domains rt;
+            let cap = capture_of rt in
+            let executed = Sim.Islands.events_executed rt in
+            ( executed = 1 + Array.fold_left ( + ) 0 made
+              && Analysis.Islands_check.check ~label:"thin" cap = [],
+              (cap, Sim.Islands.windows rt, executed) ))
+          [ 1; 2; 4 ]
+      in
+      List.for_all fst runs
+      && List.for_all (fun (_, r) -> r = snd (List.hd runs)) runs)
+
+(* Events given to an idle island from outside any action run at their
+   time: scheduled or posted before the first [run] while another
+   island is busy, and scheduled between two [run] calls, after every
+   calendar drained. *)
+let islands_setup_events () =
+  let rt = Sim.Islands.create ~islands:8 ~lookahead:1.0 ~seed:4 () in
+  let ran = ref [] in
+  let note tag isl =
+    ran := (tag, Sim.Islands.id isl, Sim.Islands.now isl) :: !ran
+  in
+  let rec tick k isl =
+    if k > 0 then Sim.Islands.schedule_in isl ~after:0.5 (tick (k - 1))
+  in
+  Sim.Islands.schedule (Sim.Islands.island rt 0) ~at:0.0 (tick 10);
+  Sim.Islands.schedule (Sim.Islands.island rt 5) ~at:2.25 (note "scheduled");
+  Sim.Islands.post (Sim.Islands.island rt 1) ~dst:6 ~after:1.0 (note "posted");
+  Sim.Islands.run rt;
+  Sim.Islands.schedule (Sim.Islands.island rt 3) ~at:7.0 (note "between");
+  Sim.Islands.run ~domains:2 rt;
+  check
+    (Alcotest.list
+       (Alcotest.triple Alcotest.string Alcotest.int (Alcotest.float 0.0)))
+    "each ran once, on its island, at its time"
+    [ ("posted", 6, 1.0); ("scheduled", 5, 2.25); ("between", 3, 7.0) ]
+    (List.rev !ran);
+  checki "every event executed" 14 (Sim.Islands.events_executed rt)
+
 (* --- Cluster: the island-scheduler core, end to end --------------------- *)
 
 let fleet_render_stable () =
@@ -595,4 +776,9 @@ let suite =
       islands_create_linear;
     Alcotest.test_case "islands: fan-out to every island" `Quick
       islands_fan_out;
+    Alcotest.test_case "calendar: pop_before" `Quick calendar_pop_before;
+    QCheck_alcotest.to_alcotest qcheck_calendar_pop_before;
+    QCheck_alcotest.to_alcotest qcheck_islands_thin_windows;
+    Alcotest.test_case "islands: set-up events on idle islands" `Quick
+      islands_setup_events;
   ]
