@@ -592,17 +592,19 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
      arrival time, which is the same grid point for every node's digest
      of a given epoch, so each service's window stays time-ordered for
      the O(1) prune and holds one entry per (epoch, bucket). *)
-  let apply_digest node resp viol pairs lats ms isl =
+  (* [packed] holds [pairs] (svc, count) pairs, then the packed window
+     samples (see [finish_request]). *)
+  let apply_digest node resp viol pairs packed ms isl =
     touch_ctrl isl;
     ctrl.resolved <- ctrl.resolved + resp;
     ctrl.slo_violations <- ctrl.slo_violations + viol;
-    for k = 0 to (Array.length pairs / 2) - 1 do
-      dec_outstanding pairs.(2 * k) node pairs.((2 * k) + 1)
+    for k = 0 to pairs - 1 do
+      dec_outstanding packed.(2 * k) node packed.((2 * k) + 1)
     done;
     if slo_aware then begin
       let nowt = Sim.Islands.now isl in
-      for k = 0 to Array.length lats - 1 do
-        let p = lats.(k) in
+      for k = 2 * pairs to Array.length packed - 1 do
+        let p = packed.(k) in
         Sim.Window_hist.add ctrl.lat_win.(p lsr 6) nowt (p land 63)
       done
     end;
@@ -699,25 +701,23 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     touch_hist isl ns.node_id;
     let resp = ns.dg_resp and viol = ns.dg_viol in
     let tn = ns.dg_touched_n in
-    let pairs = Array.make (2 * tn) 0 in
+    let packed = Array.make ((2 * tn) + ns.dg_lat_n) 0 in
     for k = 0 to tn - 1 do
       let svc = ns.dg_touched.(k) in
-      pairs.(2 * k) <- svc;
-      pairs.((2 * k) + 1) <- ns.dg_svc_count.(svc);
+      packed.(2 * k) <- svc;
+      packed.((2 * k) + 1) <- ns.dg_svc_count.(svc);
       ns.dg_svc_count.(svc) <- 0
     done;
+    Array.blit ns.dg_lat 0 packed (2 * tn) ns.dg_lat_n;
     ns.dg_touched_n <- 0;
     ns.dg_resp <- 0;
     ns.dg_viol <- 0;
-    let lats =
-      if ns.dg_lat_n = 0 then [||] else Array.sub ns.dg_lat 0 ns.dg_lat_n
-    in
     ns.dg_lat_n <- 0;
     let ms = if ns.dg_ms_n = 0 then [||] else Array.sub ns.dg_ms 0 ns.dg_ms_n in
     ns.dg_ms_n <- 0;
     ns.dg_pending <- false;
     Sim.Islands.post isl ~dst:0 ~after:epoch
-      (apply_digest ns.node_id resp viol pairs lats ms)
+      (apply_digest ns.node_id resp viol tn packed ms)
 
   and start_next ns svc isl =
     touch_queue isl ns.node_id;
@@ -1011,17 +1011,27 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
   (* Per-node arrival bursts. [route] stages routed requests here; the
      pump flushes one post per touched node per pump event, so the
      steady-state transport cost is one cross-island message per node
-     per epoch instead of one per request. *)
-  let b_rid = Array.make cfg.nodes [||] in
-  let b_svc = Array.make cfg.nodes [||] in
+     per epoch instead of one per request. A request is staged as one
+     int key, [rid] above the low [svc_bits] bits and [svc] in them,
+     plus its arrival time. *)
+  let svc_bits =
+    let b = ref 0 in
+    while 1 lsl !b < services do
+      incr b
+    done;
+    !b
+  in
+  let svc_mask = (1 lsl svc_bits) - 1 in
+  let b_key = Array.make cfg.nodes [||] in
   let b_at = Array.make cfg.nodes [||] in
   let b_n = Array.make cfg.nodes 0 in
   let b_touched = Array.make cfg.nodes 0 in
   let b_touched_n = ref 0 in
-  let deliver_burst node rids svcs ats n isl =
+  let deliver_burst node keys ats n isl =
     let ns = nodes.(node) in
     for i = 0 to n - 1 do
-      deliver ns svcs.(i) rids.(i) ats.(i) isl
+      let key = keys.(i) in
+      deliver ns (key land svc_mask) (key lsr svc_bits) ats.(i) isl
     done
   in
   (* Ship every staged burst: the batch closes at the pump boundary and
@@ -1034,11 +1044,10 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       let node = b_touched.(k) in
       let n = b_n.(node) in
       b_n.(node) <- 0;
-      let rids = Array.sub b_rid.(node) 0 n in
-      let svcs = Array.sub b_svc.(node) 0 n in
+      let keys = Array.sub b_key.(node) 0 n in
       let ats = Array.sub b_at.(node) 0 n in
       Sim.Islands.post isl ~dst:(node + 1) ~after:(2.0 *. epoch)
-        (deliver_burst node rids svcs ats n)
+        (deliver_burst node keys ats n)
     done;
     b_touched_n := 0
   in
@@ -1061,13 +1070,11 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
         b_touched.(!b_touched_n) <- node;
         incr b_touched_n
       end;
-      if n = Array.length b_rid.(node) then begin
-        b_rid.(node) <- grow_int b_rid.(node);
-        b_svc.(node) <- grow_int b_svc.(node);
+      if n = Array.length b_key.(node) then begin
+        b_key.(node) <- grow_int b_key.(node);
         b_at.(node) <- grow_float b_at.(node)
       end;
-      b_rid.(node).(n) <- rid;
-      b_svc.(node).(n) <- svc;
+      b_key.(node).(n) <- (rid lsl svc_bits) lor svc;
       b_at.(node).(n) <- at;
       b_n.(node) <- n + 1
     end
@@ -1145,7 +1152,9 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
      off each service's window. *)
   let prune_windows now =
     let horizon = now -. cfg.window_s in
-    Array.iter (fun w -> Sim.Window_hist.prune w ~horizon) ctrl.lat_win
+    for s = 0 to Array.length ctrl.lat_win - 1 do
+      Sim.Window_hist.prune ctrl.lat_win.(s) ~horizon
+    done
   in
   let window_p99 s =
     let w = ctrl.lat_win.(s) in
