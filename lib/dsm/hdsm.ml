@@ -45,6 +45,19 @@ type range_info = {
           probe *)
 }
 
+(* The page table, keyed on the page number. The polymorphic table
+   hashes every key through the C [caml_hash]; this one hashes an int
+   with a [land], and the drain's [move_span] and the access sweep's
+   [no_entry] probe it for every page they walk. Its three iterations
+   do not depend on the bucket order: [pages_owned_by] sorts,
+   [residual_pages] sums ints, and [drain] mutates each entry. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = x land max_int
+end)
+
 type observation =
   | Obs_access of { node : node; page : int; write : bool }
   | Obs_sync of { src : node; dst : node }
@@ -58,7 +71,7 @@ type t = {
   now : unit -> float;
       (** the owning ensemble's simulated clock, for obs event timestamps;
           without one, obs events stamp 0 *)
-  pages : (int, entry) Hashtbl.t;
+  pages : entry Pages.t;
   mutable ranges : range_info array;  (** sorted by [r_first], disjoint *)
   mutable strays : int list;
       (** pages given an entry while outside every range
@@ -78,7 +91,7 @@ let create ?(handler_latency_s = 50e-6) ?(batch = false) ?(obs = Obs.noop)
     batch;
     obs;
     now;
-    pages = Hashtbl.create 1024;
+    pages = Pages.create 1024;
     ranges = [||];
     strays = [];
     observer = None;
@@ -108,7 +121,7 @@ let range_index t page =
   in
   go 0 (Array.length t.ranges - 1)
 
-let registered t page = Hashtbl.mem t.pages page || range_index t page >= 0
+let registered t page = Pages.mem t.pages page || range_index t page >= 0
 
 (* Fold touching neighbours with the same owner into one range. *)
 let rec merge = function
@@ -152,7 +165,7 @@ let set_default t i ~a ~b ~owner ~touched =
 let register_page t ~page ~owner =
   check_node t owner;
   if not (registered t page) then begin
-    Hashtbl.replace t.pages page
+    Pages.replace t.pages page
       { owner; copies = bit owner; exclusive = true; aliased = false };
     t.strays <- page :: t.strays
   end
@@ -199,7 +212,7 @@ let register_range t ~(range : Memsys.Page.range) ~owner =
   end
 
 let register_alias t ~page =
-  match Hashtbl.find_opt t.pages page with
+  match Pages.find_opt t.pages page with
   | Some e when e.aliased -> ()  (* same text/vDSO page mapped again *)
   | Some _ ->
     invalid_arg
@@ -213,7 +226,7 @@ let register_alias t ~page =
            "Hdsm.register_alias: page %d already covered by a data range"
            page)
     else begin
-      Hashtbl.replace t.pages page
+      Pages.replace t.pages page
         { owner = 0; copies = bit t.nodes - 1; exclusive = false;
           aliased = true };
       t.strays <- page :: t.strays
@@ -222,7 +235,7 @@ let register_alias t ~page =
 (* Hot path of every access: already-materialized pages hit the table
    without allocating an option on the way out. *)
 let entry t page =
-  match Hashtbl.find t.pages page with
+  match Pages.find t.pages page with
   | e -> e
   | exception Not_found ->
     let i = range_index t page in
@@ -233,7 +246,7 @@ let entry t page =
         { owner = r.r_owner; copies = bit r.r_owner; exclusive = true;
           aliased = false }
       in
-      Hashtbl.replace t.pages page e;
+      Pages.replace t.pages page e;
       r.r_touched <- r.r_touched + 1;
       e
     end
@@ -380,7 +393,7 @@ let fetch_run t ~node ~first ~count ~write =
 
 (* No page of [page, stop) has an entry. *)
 let rec no_entry t page stop =
-  page >= stop || ((not (Hashtbl.mem t.pages page)) && no_entry t (page + 1) stop)
+  page >= stop || ((not (Pages.mem t.pages page)) && no_entry t (page + 1) stop)
 
 (* The whole run lies in one lazy range owned by the accessing node and
    no page of it has an entry: every page is a local hit and would
@@ -449,7 +462,7 @@ let owner t ~page = (entry t page).owner
 
 let pages_owned_by t node =
   let materialized =
-    Hashtbl.fold
+    Pages.fold
       (fun page e acc ->
         if (not e.aliased) && e.owner = node then page :: acc else acc)
       t.pages []
@@ -461,7 +474,7 @@ let pages_owned_by t node =
            if r.r_owner <> node then []
            else
              List.filter
-               (fun page -> not (Hashtbl.mem t.pages page))
+               (fun page -> not (Pages.mem t.pages page))
                (List.init r.r_count (fun i -> r.r_first + i)))
   in
   List.sort compare (materialized @ default_owned)
@@ -474,7 +487,7 @@ let residual_pages t ~home =
       (fun acc r -> if r.r_owner = home then acc + r.r_count else acc)
       0 t.ranges
   in
-  Hashtbl.fold
+  Pages.fold
     (fun page e acc ->
       let acc = if (not e.aliased) && e.owner = home then acc + 1 else acc in
       let i = range_index t page in
@@ -490,7 +503,7 @@ let drain t ~from_ ~to_ =
   (match t.observer with
   | Some f when pages > 0 -> f (Obs_sync { src = from_; dst = to_ })
   | _ -> ());
-  Hashtbl.iter
+  Pages.iter
     (fun _ e ->
       if (not e.aliased) && e.owner = from_ then begin
         e.owner <- to_;
@@ -560,7 +573,7 @@ let move_span t ~to_ ~per_page { Memsys.Page.first; count } =
       let touched = ref 0 in
       if r.r_touched > 0 then
         for p = !page to upto - 1 do
-          if Hashtbl.mem t.pages p then begin
+          if Pages.mem t.pages p then begin
             incr touched;
             if move_page t to_ p then incr moved
           end
