@@ -15,8 +15,8 @@
      floats the aggregates accumulated, in the same order.
 
    Both exporters are also checked byte-stable across repeat runs; the
-   CLI ([hetmig metrics]) and the bench harness ([--metrics]) reuse
-   [observed_run] so their dumps describe this exact scenario. *)
+   CLI ([hetmig metrics]) reuses [observed_run] so its dump describes
+   this exact scenario. *)
 
 let jobs_per_set = 40
 let seed = 1000

@@ -9,36 +9,6 @@
      dune exec bench/main.exe -- --seq       -- fully sequential (= --jobs 1)
      dune exec bench/main.exe -- --json P    -- write machine-readable results *)
 
-(* Selected experiments run in this order. [throughput] comes first: its
-   heap check reads the process-wide top-of-heap watermark, which would
-   otherwise count every experiment that ran before it. *)
-let experiments =
-  [
-    ("throughput", "Serving throughput at scale (non-paper)",
-     Experiments.Throughput.run);
-    ("fig1", "Figure 1 (emulation slowdown)", Experiments.Fig1.run);
-    ("fig3-5", "Figures 3-5 (migration point gaps)", Experiments.Fig35.run);
-    ("fig6-9", "Figures 6-9 (wrapper overhead)", Experiments.Fig69.run);
-    ("table1", "Table 1 (alignment cost)", Experiments.Table1.run);
-    ("fig10", "Figure 10 (stack transformation)", Experiments.Fig10.run);
-    ("fig11", "Figure 11 (PadMig vs native)", Experiments.Fig11.run);
-    ("fig12", "Figure 12 (sustained workload)", Experiments.Fig12.run);
-    ("fig13", "Figure 13 (periodic workload)", Experiments.Fig13.run);
-    ("ablations", "Ablation studies (non-paper)", Experiments.Ablation.run);
-    ("degraded", "Degraded mode (fault injection, non-paper)",
-     Experiments.Degraded.run);
-    ("prefetch", "Batched hDSM transfers + prefetch (non-paper)",
-     Experiments.Prefetch.run);
-    ("telemetry", "Observability: traced degraded run (non-paper)",
-     Experiments.Telemetry.run);
-    ("engine", "Event core: engine/calendar/islands (non-paper)",
-     Experiments.Engine.run);
-    ("cluster", "Cluster: rack topology + global policies (non-paper)",
-     Experiments.Cluster.run);
-    ("serving", "Open-loop SLO serving (non-paper)",
-     Experiments.Serving.run);
-  ]
-
 (* Wall-clock seconds: experiment grids run on multiple domains, where
    CPU time ([Sys.time]) overstates elapsed time by roughly the pool
    width. The same clock perfbench uses. *)
@@ -46,11 +16,11 @@ let wall_now () = Unix.gettimeofday ()
 
 let usage ppf =
   Format.fprintf ppf
-    "usage: main.exe [--seq] [--jobs N] [--json PATH] [--metrics PATH] [--compare BASELINE] [experiment ...]@.";
+    "usage: main.exe [--seq] [--jobs N] [--json PATH] [--compare BASELINE] [experiment ...]@.";
   Format.fprintf ppf "available experiments:@.";
   List.iter
     (fun (n, d, _) -> Format.fprintf ppf "  %-8s %s@." n d)
-    experiments
+    Experiments.Registry.all
 
 (* A command line the harness cannot run exits 2 with the usage text,
    so a typo in a gate's experiment list cannot silently drop an
@@ -73,42 +43,19 @@ let git_rev () =
     if line = "" then None else Some line
   with _ -> None
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then "null"
-  else Printf.sprintf "%.6g" f
-
-let write_json path ~jobs ~metrics ~experiment_times =
+let write_json path ~jobs ~experiment_times =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   (match git_rev () with
-  | Some rev -> out "  \"git_rev\": \"%s\",\n" (json_escape rev)
+  | Some rev -> out "  \"git_rev\": \"%s\",\n" (Obs.json_escape rev)
   | None -> out "  \"git_rev\": null,\n");
   out "  \"jobs\": %d,\n" jobs;
-  (* The canonical scenario's metrics registry is already a byte-stable
-     JSON object; embed it verbatim. *)
-  (match metrics with
-  | Some m -> out "  \"metrics\": %s,\n" (String.trim m)
-  | None -> ());
   out "  \"experiments\": [\n";
   List.iteri
     (fun i (name, wall_s) ->
-      out "    {\"name\": \"%s\", \"wall_s\": %s}%s\n" (json_escape name)
-        (json_float wall_s)
+      out "    {\"name\": \"%s\", \"wall_s\": %s}%s\n"
+        (Obs.json_escape name) (Obs.json_float wall_s)
         (if i = List.length experiment_times - 1 then "" else ","))
     experiment_times;
   out "  ]\n}\n";
@@ -166,7 +113,6 @@ let () =
   let seq = ref false in
   let jobs_flag = ref None in
   let json_path = ref None in
-  let metrics_path = ref None in
   let compare_path = ref None in
   let wanted = ref [] in
   let rec parse = function
@@ -178,14 +124,13 @@ let () =
       | Some _ | None -> usage_error "--jobs expects a positive integer, got %s" n
     end
     | "--json" :: path :: rest -> json_path := Some path; parse rest
-    | "--metrics" :: path :: rest -> metrics_path := Some path; parse rest
     | "--compare" :: path :: rest -> compare_path := Some path; parse rest
-    | [ ("--jobs" | "--json" | "--metrics" | "--compare") as flag ] ->
+    | [ ("--jobs" | "--json" | "--compare") as flag ] ->
       usage_error "%s expects an argument" flag
     | arg :: _ when String.starts_with ~prefix:"-" arg ->
       usage_error "unknown flag %s" arg
     | name :: rest ->
-      if not (List.exists (fun (n, _, _) -> n = name) experiments) then
+      if Experiments.Registry.find name = None then
         usage_error "unknown experiment %s" name;
       wanted := name :: !wanted;
       parse rest
@@ -206,9 +151,10 @@ let () =
   in
   let selected =
     match wanted with
-    | [] -> experiments
+    | [] -> Experiments.Registry.all
     | names ->
-      List.filter (fun (name, _, _) -> List.mem name names) experiments
+      List.filter (fun (name, _, _) -> List.mem name names)
+        Experiments.Registry.all
   in
   let experiment_times =
     List.map
@@ -221,23 +167,9 @@ let () =
         (name, wall_s))
       selected
   in
-  (* The metrics report is the canonical observed scenario's registry —
-     deterministic, so byte-identical across --seq / --jobs N. *)
-  let metrics =
-    match !metrics_path with
-    | None -> None
-    | Some path ->
-      let obs, _ = Experiments.Telemetry.observed_run () in
-      let json = Obs.metrics_json obs in
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Format.fprintf ppf "(metrics written to %s)@." path;
-      Some json
-  in
   (match !json_path with
   | Some path ->
-    write_json path ~jobs:jobs_used ~metrics ~experiment_times;
+    write_json path ~jobs:jobs_used ~experiment_times;
     Format.fprintf ppf "(results written to %s)@." path
   | None -> ());
   let gate_failures =

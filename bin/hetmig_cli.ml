@@ -148,7 +148,7 @@ let emulation_cmd =
        ~doc:"KVM/QEMU DBT slowdown of the benchmark (the Figure 1 baseline)")
     Term.(const run $ bench_arg $ cls_arg $ threads)
 
-(* --- schedule --------------------------------------------------------------- *)
+(* --- shared conversions, output plumbing and flags ------------------------- *)
 
 let crash_conv =
   (* Sched.Validate names the token that broke ("twelve" is not a node
@@ -198,6 +198,47 @@ let print_report out text =
     output_string oc text;
     close_out oc
   | None -> print_string text
+
+(* Flags several commands share, each defined once. *)
+
+(* --islands/--seq: the domain count a run spans. The report never
+   depends on it. *)
+let domains_term ~cmd =
+  let islands =
+    Arg.(value & opt (some int) None
+         & info [ "islands" ] ~docv:"D"
+             ~doc:
+               "Domains to span the run over (default: HETMIG_JOBS or the \
+                machine's core count). The report is byte-identical \
+                whatever this is.")
+  in
+  let seq =
+    Arg.(value & flag
+         & info [ "seq" ]
+             ~doc:"Sequential reference run (same as --islands 1).")
+  in
+  let domains islands seq =
+    match validated ~cmd (Sched.Validate.islands islands) with
+    | _ when seq -> 1
+    | Some d -> d
+    | None -> Parallel.Pool.default_jobs ()
+  in
+  Term.(const domains $ islands $ seq)
+
+let seed_term ~default =
+  Arg.(value & opt int default & info [ "seed" ] ~doc:"Random seed.")
+
+let out_term =
+  Arg.(value & opt (some string) None
+       & info [ "out" ] ~docv:"PATH"
+           ~doc:"Write the report to PATH instead of stdout.")
+
+let crashes_term =
+  Arg.(value & opt_all crash_conv []
+       & info [ "crash" ] ~docv:"NODE@TIME"
+           ~doc:"Crash a node at a simulated time (repeatable).")
+
+(* --- schedule --------------------------------------------------------------- *)
 
 let schedule_cmd =
   let run seed jobs periodic drop fault_seed retry_budget crashes
@@ -256,7 +297,6 @@ let schedule_cmd =
         if metrics then print_string (Obs.metrics_text obs))
       Sched.Policy.all
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let jobs =
     Arg.(value & opt int 20 & info [ "jobs" ] ~doc:"Jobs (sustained mode).")
   in
@@ -277,11 +317,6 @@ let schedule_cmd =
     Arg.(value & opt int 3
          & info [ "retry-budget" ] ~docv:"N"
              ~doc:"Send attempts per message and admissions per crashed job.")
-  in
-  let crashes =
-    Arg.(value & opt_all crash_conv []
-         & info [ "crash" ] ~docv:"NODE@TIME"
-             ~doc:"Crash a node at a simulated time (repeatable).")
   in
   let page_timeout_rate =
     Arg.(value & opt float 0.0
@@ -317,9 +352,9 @@ let schedule_cmd =
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Run a workload under all five scheduling policies")
-    Term.(const run $ seed $ jobs $ periodic $ drop $ fault_seed $ retry_budget
-          $ crashes $ page_timeout_rate $ dsm_batch $ prefetch $ trace
-          $ metrics)
+    Term.(const run $ seed_term ~default:1 $ jobs $ periodic $ drop
+          $ fault_seed $ retry_budget $ crashes_term $ page_timeout_rate
+          $ dsm_batch $ prefetch $ trace $ metrics)
 
 (* --- metrics ----------------------------------------------------------------- *)
 
@@ -579,30 +614,6 @@ let audit_cmd =
 
 (* --- fleet and cluster --------------------------------------------------- *)
 
-(* --islands/--seq: the domain count a run spans. The report never
-   depends on it. *)
-let domains_term ~cmd =
-  let islands =
-    Arg.(value & opt (some int) None
-         & info [ "islands" ] ~docv:"D"
-             ~doc:
-               "Domains to span the run over (default: HETMIG_JOBS or the \
-                machine's core count). The report is byte-identical \
-                whatever this is.")
-  in
-  let seq =
-    Arg.(value & flag
-         & info [ "seq" ]
-             ~doc:"Sequential reference run (same as --islands 1).")
-  in
-  let domains islands seq =
-    match validated ~cmd (Sched.Validate.islands islands) with
-    | _ when seq -> 1
-    | Some d -> d
-    | None -> Parallel.Pool.default_jobs ()
-  in
-  Term.(const domains $ islands $ seq)
-
 (* The flags fleet and cluster share, with per-command defaults. They
    yield the cluster defaults on the requested topology, the domain
    count, and the report path; each command then sets its policy. *)
@@ -630,7 +641,6 @@ let island_run_term ~cmd ~nodes ~racks ~jobs ~rate =
   let jobs =
     Arg.(value & opt int jobs & info [ "jobs" ] ~docv:"N" ~doc:"Jobs to run.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let epoch =
     Arg.(value & opt float 0.25
          & info [ "epoch" ] ~docv:"S"
@@ -640,11 +650,6 @@ let island_run_term ~cmd ~nodes ~racks ~jobs ~rate =
   let rate =
     Arg.(value & opt float rate
          & info [ "rate" ] ~docv:"S" ~doc:"Mean job interarrival in seconds.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"Write the report to PATH instead of stdout.")
   in
   let make nodes racks mix jobs seed domains epoch rate out =
     let must v = validated ~cmd v in
@@ -662,8 +667,8 @@ let island_run_term ~cmd ~nodes ~racks ~jobs ~rate =
       domains,
       out )
   in
-  Term.(const make $ nodes $ racks $ mix $ jobs $ seed $ domains_term ~cmd
-        $ epoch $ rate $ out)
+  Term.(const make $ nodes $ racks $ mix $ jobs $ seed_term ~default:42
+        $ domains_term ~cmd $ epoch $ rate $ out_term)
 
 (* Run and report. Every job must complete or fail: a run that loses
    one is broken however good the report looks. *)
@@ -912,7 +917,6 @@ let serve_cmd =
          & info [ "nodes" ] ~docv:"N"
              ~doc:"Fleet nodes (alternating x86-64/arm64 servers).")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let arrivals =
     Arg.(value & opt string "bursty"
          & info [ "arrivals" ] ~docv:"MODEL"
@@ -1040,16 +1044,6 @@ let serve_cmd =
              ~doc:"Ablation stub: migrations pause nothing (isolates the \
                    placement effect from the downtime-vs-tail trade).")
   in
-  let crashes =
-    Arg.(value & opt_all crash_conv []
-         & info [ "crash" ] ~docv:"NODE@TIME"
-             ~doc:"Crash a node at a simulated time (repeatable).")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"Write the report to PATH instead of stdout.")
-  in
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"PATH"
@@ -1076,33 +1070,24 @@ let serve_cmd =
           an SLO-aware policy migrating services across the ISA boundary. \
           The report is a pure function of the configuration, not of the \
           domain count.")
-    Term.(const run $ nodes $ seed $ arrivals $ trace_file $ services
-          $ duration $ days $ rate_high $ rate_low $ peak_rps $ demand
-          $ limit $ replicas $ max_replicas $ routing
-          $ domains_term ~cmd:"serve" $ epoch $ slo $ policy $ window $ workers $ zero_downtime
-          $ crashes $ out $ trace $ metrics $ save_trace)
+    Term.(const run $ nodes $ seed_term ~default:42 $ arrivals $ trace_file
+          $ services $ duration $ days $ rate_high $ rate_low $ peak_rps
+          $ demand $ limit $ replicas $ max_replicas $ routing
+          $ domains_term ~cmd:"serve" $ epoch $ slo $ policy $ window
+          $ workers $ zero_downtime $ crashes_term $ out_term $ trace
+          $ metrics $ save_trace)
 
 (* --- experiment ---------------------------------------------------------------- *)
 
 let experiment_cmd =
-  let experiments =
-    [ ("fig1", Experiments.Fig1.run); ("fig3-5", Experiments.Fig35.run);
-      ("fig6-9", Experiments.Fig69.run); ("table1", Experiments.Table1.run);
-      ("fig10", Experiments.Fig10.run); ("fig11", Experiments.Fig11.run);
-      ("fig12", Experiments.Fig12.run); ("fig13", Experiments.Fig13.run);
-      ("ablations", Experiments.Ablation.run);
-      ("degraded", Experiments.Degraded.run);
-      ("prefetch", Experiments.Prefetch.run);
-      ("telemetry", Experiments.Telemetry.run) ]
-  in
   let run name =
-    match List.assoc_opt name experiments with
-    | Some f ->
+    match Experiments.Registry.find name with
+    | Some (_, _, f) ->
       f Format.std_formatter;
       if Experiments.Shape.failures () > 0 then exit 1
     | None ->
       Format.eprintf "unknown experiment %s; available: %s@." name
-        (String.concat ", " (List.map fst experiments));
+        (String.concat ", " Experiments.Registry.names);
       exit 2
   in
   let name_arg =

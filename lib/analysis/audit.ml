@@ -47,24 +47,7 @@ let all_scenarios = [ Fleet; Cluster; Serve; Scheduler ]
 let rules =
   Islands_check.rules @ Island_race.rules @ Determinism_check.rules
 
-let is_rule id = List.exists (fun (r, _, _) -> r = id) rules
-
-let validate_rules = function
-  | None -> ()
-  | Some ids ->
-      List.iter
-        (fun id ->
-          if not (is_rule id) then
-            invalid_arg (Printf.sprintf "Audit: unknown rule %s" id))
-        ids
-
-let selected rules (d : D.t) =
-  match rules with None -> true | Some ids -> List.mem d.D.rule ids
-
-let wants_prefix rules prefix =
-  match rules with
-  | None -> true
-  | Some ids -> List.exists (fun id -> String.starts_with ~prefix id) ids
+let is_rule = D.is_rule rules
 
 (* The committed scenarios: the fleet smoke (64 nodes, 1000 jobs) and
    the bursty 16-node serve, both seed 42 — the configurations the CI
@@ -95,14 +78,14 @@ let body render =
 
 let run ?rules:ids ?(scenarios = all_scenarios) ?(domains = 4) ?jobs
     ?(fleet = default_fleet) ?cluster ?serve () =
-  validate_rules ids;
+  D.validate_rules rules ~who:"Audit" ids;
   if domains < 1 then invalid_arg "Audit.run: domains must be positive";
   let serve = match serve with Some s -> s | None -> default_serve () in
   let cluster =
     match cluster with Some c -> c | None -> default_cluster ()
   in
-  let wants_cap = wants_prefix ids "island" in
-  let wants_det = wants_prefix ids "det-" in
+  let wants_cap = D.wants_prefix ids "island" in
+  let wants_det = D.wants_prefix ids "det-" in
   let dn_label = Printf.sprintf "domains=%d" domains in
   let certify ~label ~candidate_capture ~reference_capture render1 rendern =
     Det.certify ~label
@@ -207,7 +190,7 @@ let run ?rules:ids ?(scenarios = all_scenarios) ?(domains = 4) ?jobs
   let outs = Parallel.Pool.map_list ?jobs (fun task -> task ()) tasks in
   let renders = List.concat_map snd outs in
   let sensitivity =
-    if not (wants_prefix ids "det-seed") then []
+    if not (D.wants_prefix ids "det-seed") then []
     else
       List.concat_map
         (fun scenario ->
@@ -233,4 +216,4 @@ let run ?rules:ids ?(scenarios = all_scenarios) ?(domains = 4) ?jobs
           else probe ~variant:(name ^ ":epoch") ~vlabel:"epoch*2")
         scenarios
   in
-  List.filter (selected ids) (List.concat_map fst outs @ sensitivity)
+  List.filter (D.selected ids) (List.concat_map fst outs @ sensitivity)

@@ -42,6 +42,27 @@ let compare a b =
           let c = Int.compare (severity_rank a.severity) (severity_rank b.severity) in
           if c <> 0 then c else String.compare a.message b.message
 
+(* --- rule selection ----------------------------------------------------- *)
+
+let is_rule registry id = List.exists (fun (r, _, _) -> r = id) registry
+
+let validate_rules registry ~who = function
+  | None -> ()
+  | Some ids ->
+      List.iter
+        (fun id ->
+          if not (is_rule registry id) then
+            invalid_arg (Printf.sprintf "%s: unknown rule %s" who id))
+        ids
+
+let selected ids d =
+  match ids with None -> true | Some ids -> List.mem d.rule ids
+
+let wants_prefix ids prefix =
+  match ids with
+  | None -> true
+  | Some ids -> List.exists (fun id -> String.starts_with ~prefix id) ids
+
 let count sev ds = List.length (List.filter (fun d -> d.severity = sev) ds)
 let errors ds = count Error ds
 let warnings ds = count Warning ds
@@ -63,33 +84,17 @@ let pp_report ppf ds =
   Format.fprintf ppf "%d error(s), %d warning(s), %d info(s)@." (errors ds)
     (warnings ds) (count Info ds)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_opt = function
   | None -> "null"
-  | Some s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Some s -> Printf.sprintf "\"%s\"" (Obs.json_escape s)
 
 let to_json d =
   Printf.sprintf
     "{\"rule\":\"%s\",\"severity\":\"%s\",\"prog\":\"%s\",\"func\":%s,\"site\":%s,\"message\":\"%s\"}"
-    (json_escape d.rule)
+    (Obs.json_escape d.rule)
     (severity_to_string d.severity)
-    (json_escape d.loc.prog) (json_opt d.loc.func) (json_opt d.loc.site)
-    (json_escape d.message)
+    (Obs.json_escape d.loc.prog) (json_opt d.loc.func) (json_opt d.loc.site)
+    (Obs.json_escape d.message)
 
 let report_to_json ds =
   let ds = List.sort compare ds in

@@ -38,6 +38,20 @@ val compare : t -> t -> int
 (** Order by location, then rule, then message — the canonical report
     order, independent of pass scheduling. *)
 
+(** {2 Rule selection} for the lint and audit drivers: a registry of
+    (id, severity, description) and a [--rule] selection ([None] = all). *)
+
+val is_rule : (string * severity * string) list -> string -> bool
+
+val validate_rules :
+  (string * severity * string) list -> who:string -> string list option -> unit
+(** Raises [Invalid_argument "<who>: unknown rule <id>"]. *)
+
+val selected : string list option -> t -> bool
+
+val wants_prefix : string list option -> string -> bool
+(** Whether a selected id starts with the prefix (always, for [None]). *)
+
 val errors : t list -> int
 val warnings : t list -> int
 
@@ -47,12 +61,11 @@ val pp : Format.formatter -> t -> unit
 val pp_report : Format.formatter -> t list -> unit
 (** All diagnostics in canonical order followed by a summary line. *)
 
-val json_escape : string -> string
-
 val to_json : t -> string
 (** One JSON object with fixed field order:
     [{"rule":...,"severity":...,"prog":...,"func":...,"site":...,"message":...}]
-    ([func]/[site] rendered as [null] when absent). *)
+    ([func]/[site] rendered as [null] when absent), strings escaped by
+    {!Obs.json_escape}. *)
 
 val report_to_json : t list -> string
 (** A complete report:

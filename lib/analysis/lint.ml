@@ -43,7 +43,7 @@ let rules =
   Ir_check.rules @ driver_rules @ Stackmap_check.rules @ Unwind_check.rules
   @ Layout_check.rules @ Dsm_check.rules
 
-let is_rule id = List.exists (fun (r, _, _) -> r = id) rules
+let is_rule = D.is_rule rules
 
 let static_checks ~label prog =
   let ir = Ir_check.check ~label prog in
@@ -65,25 +65,8 @@ let static_checks ~label prog =
             ],
           None )
 
-let validate_rules = function
-  | None -> ()
-  | Some ids ->
-      List.iter
-        (fun id ->
-          if not (is_rule id) then
-            invalid_arg (Printf.sprintf "Lint: unknown rule %s" id))
-        ids
-
-let selected rules (d : D.t) =
-  match rules with None -> true | Some ids -> List.mem d.D.rule ids
-
-let wants_prefix rules prefix =
-  match rules with
-  | None -> true
-  | Some ids -> List.exists (fun id -> String.starts_with ~prefix id) ids
-
 let lint_target ?rules:ids target =
-  validate_rules ids;
+  D.validate_rules rules ~who:"Lint" ids;
   let label = target_name target in
   let prog = Workload.Programs.program target.bench target.cls in
   let static, binary = static_checks ~label prog in
@@ -92,14 +75,14 @@ let lint_target ?rules:ids target =
        selection cannot surface its diagnostics, or when the program is
        already too broken to compile. *)
     match binary with
-    | Some binary when wants_prefix ids "dsm-" ->
+    | Some binary when D.wants_prefix ids "dsm-" ->
         let spec = Workload.Spec.spec target.bench target.cls in
         Dsm_check.check ~label ~binary ~spec
     | _ -> []
   in
-  List.filter (selected ids) (static @ race)
+  List.filter (D.selected ids) (static @ race)
 
 let run ?rules:ids ?(targets = all_targets) ?jobs () =
-  validate_rules ids;
+  D.validate_rules rules ~who:"Lint" ids;
   List.concat
     (Parallel.Pool.map_list ?jobs (fun t -> lint_target ?rules:ids t) targets)

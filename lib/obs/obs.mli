@@ -136,3 +136,12 @@ val metrics_json : t -> string
 
 val metrics_text : t -> string
 (** Human-readable one-line-per-metric dump, sorted. *)
+
+(** {2 JSON scalars} The repo's one JSON encoder: the exporters above,
+    the lint and audit reports and the bench harness's [--json] use it. *)
+
+val json_escape : string -> string
+(** A JSON string body; control bytes but newline become [\u00XX]. *)
+
+val json_float : float -> string
+(** [%.6g], or [null] for a NaN or an infinity. *)

@@ -64,14 +64,27 @@ let poisson_segment rng ~svc ~rate ~seg_start ~seg_end k acc =
     (!k, !acc)
   end
 
-let bursty ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
-    ?(mean_off = 30.0) ~seed ~services ~duration_s () =
+(* Parameter checks shared by the materialized and streamed generators. *)
+let validate_bursty ~rate_high ~rate_low ~mean_on ~mean_off ~services
+    ~duration_s =
   if services < 1 then invalid_arg "Arrival.bursty: need at least one service";
   if duration_s <= 0.0 then invalid_arg "Arrival.bursty: empty duration";
   if rate_high < 0.0 || rate_low < 0.0 then
     invalid_arg "Arrival.bursty: negative rate";
   if mean_on <= 0.0 || mean_off <= 0.0 then
-    invalid_arg "Arrival.bursty: sojourn means must be positive";
+    invalid_arg "Arrival.bursty: sojourn means must be positive"
+
+let validate_diurnal ~base_rps ~peak_rps ~day_s ~services ~days =
+  if services < 1 then invalid_arg "Arrival.diurnal: need at least one service";
+  if days < 1 then invalid_arg "Arrival.diurnal: need at least one day";
+  if base_rps < 0.0 || peak_rps < base_rps then
+    invalid_arg "Arrival.diurnal: need 0 <= base_rps <= peak_rps";
+  if day_s <= 0.0 then invalid_arg "Arrival.diurnal: day_s must be positive"
+
+let bursty ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
+    ?(mean_off = 30.0) ~seed ~services ~duration_s () =
+  validate_bursty ~rate_high ~rate_low ~mean_on ~mean_off ~services
+    ~duration_s;
   let master = Sim.Prng.create seed in
   let acc = ref [] in
   (* MMPP on/off per service: exponential sojourns in a high-rate ON
@@ -111,11 +124,7 @@ let day_shape =
 
 let diurnal ?(base_rps = 0.0) ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed
     ~services ~days () =
-  if services < 1 then invalid_arg "Arrival.diurnal: need at least one service";
-  if days < 1 then invalid_arg "Arrival.diurnal: need at least one day";
-  if base_rps < 0.0 || peak_rps < base_rps then
-    invalid_arg "Arrival.diurnal: need 0 <= base_rps <= peak_rps";
-  if day_s <= 0.0 then invalid_arg "Arrival.diurnal: day_s must be positive";
+  validate_diurnal ~base_rps ~peak_rps ~day_s ~services ~days;
   let master = Sim.Prng.create seed in
   let slot_s = day_s /. 24.0 in
   let acc = ref [] in
@@ -321,15 +330,6 @@ let gens_in_order services make =
   in
   build 0 []
 
-let validate_bursty ~rate_high ~rate_low ~mean_on ~mean_off ~services
-    ~duration_s =
-  if services < 1 then invalid_arg "Arrival.bursty: need at least one service";
-  if duration_s <= 0.0 then invalid_arg "Arrival.bursty: empty duration";
-  if rate_high < 0.0 || rate_low < 0.0 then
-    invalid_arg "Arrival.bursty: negative rate";
-  if mean_on <= 0.0 || mean_off <= 0.0 then
-    invalid_arg "Arrival.bursty: sojourn means must be positive"
-
 let stream_bursty ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
     ?(mean_off = 30.0) ~seed ~services ~duration_s () =
   validate_bursty ~rate_high ~rate_low ~mean_on ~mean_off ~services
@@ -368,13 +368,6 @@ let stream_bursty ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
         })
   in
   merged_stream ~sname:(Printf.sprintf "bursty-s%d" seed) ~services gens
-
-let validate_diurnal ~base_rps ~peak_rps ~day_s ~services ~days =
-  if services < 1 then invalid_arg "Arrival.diurnal: need at least one service";
-  if days < 1 then invalid_arg "Arrival.diurnal: need at least one day";
-  if base_rps < 0.0 || peak_rps < base_rps then
-    invalid_arg "Arrival.diurnal: need 0 <= base_rps <= peak_rps";
-  if day_s <= 0.0 then invalid_arg "Arrival.diurnal: day_s must be positive"
 
 let stream_diurnal ?(base_rps = 0.0) ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed
     ~services ~days () =

@@ -123,16 +123,16 @@ type result = {
 
 (* --- latency histograms ------------------------------------------------ *)
 
-(* Per-node final latency histograms: base 2, 48 buckets — 2^47 ms
-   upper edge, far beyond any simulated latency, so clamping never
-   distorts the tail. Windowed p99 keeps PR 7's base-2 40-bucket shape.
-   The bucket function must agree bit-for-bit with
-   [Sim.Stats.log_histogram] so [Sim.Stats.percentile] reads these
-   count arrays with its own edge semantics. *)
+(* Latency histograms, the per-node final ones and each service's p99
+   window alike: base 2, 48 buckets — 2^47 ms upper edge, far beyond
+   any simulated latency, so clamping never distorts the tail. A
+   response is binned once and its bucket feeds both. The bucket
+   function must agree bit-for-bit with [Sim.Stats.log_histogram] so
+   [Sim.Stats.percentile] reads these count arrays with its own edge
+   semantics. *)
 let lat_buckets = 48
-let win_buckets = 40
 
-let bucket_of ~buckets x =
+let bucket_of x =
   if x < 1.0 then 0
   else begin
     (* floor(log2 x) from the IEEE exponent field — exact at bucket
@@ -143,7 +143,7 @@ let bucket_of ~buckets x =
       land 0x7FF)
       - 1023
     in
-    if b >= buckets then buckets - 1 else b
+    if b >= lat_buckets then lat_buckets - 1 else b
   end
 
 let grow_int a =
@@ -158,9 +158,6 @@ let grow_float a =
 
 let lat_bucket_lo =
   Array.init lat_buckets (fun i -> 2.0 ** float_of_int i)
-
-let win_bucket_lo =
-  Array.init win_buckets (fun i -> 2.0 ** float_of_int i)
 
 (* --- per-island state -------------------------------------------------- *)
 
@@ -211,7 +208,7 @@ type node_state = {
   dg_svc_count : int array;  (* per-service completions this epoch *)
   dg_touched : int array;
   mutable dg_touched_n : int;
-  mutable dg_lat : int array;  (* packed svc*64 + window bucket *)
+  mutable dg_lat : int array;  (* packed svc*64 + latency bucket *)
   mutable dg_lat_n : int;
   mutable dg_ms : float array;  (* raw latencies, observability only *)
   mutable dg_ms_n : int;
@@ -236,7 +233,7 @@ type ctrl_state = {
       (* latest routed arrival time ([neg_infinity] before the first):
          arrivals are routed in nondecreasing time, so no arrival lies
          in the window [now - window_s, now] iff this is before it *)
-  lat_win : Sim.Window_hist.t array;  (* (resolve time, window bucket) *)
+  lat_win : Sim.Window_hist.t array;  (* (resolve time, latency bucket) *)
   spans : Obs.span option array;  (* open migration spans *)
   mutable arrived : int;
   mutable resolved : int;  (* responses + drops accounted *)
@@ -450,7 +447,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       last_arr = Array.make services neg_infinity;
       lat_win =
         Array.init services (fun _ ->
-            Sim.Window_hist.create ~bucket_lo:win_bucket_lo);
+            Sim.Window_hist.create ~bucket_lo:lat_bucket_lo);
       spans = Array.make services None;
       arrived = 0;
       resolved = 0;
@@ -512,13 +509,6 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
         live_scratch.(!n) <- nd;
         incr n
       end
-    done;
-    !n
-  in
-  let live_count svc =
-    let n = ref 0 in
-    for k = 0 to ctrl.rep_n.(svc) - 1 do
-      if ctrl.alive.(ctrl.reps.(svc).(k)) then incr n
     done;
     !n
   in
@@ -614,9 +604,9 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     Obs.incr ~by:resp obs "serve.responded";
     note_resolved isl
   in
-  (* Node-side drops with a known billing column. Crash wipes resolve
-     through {!resolve_crash_drops} instead: the controller zeroes the
-     whole outstanding column when it learns of the crash. *)
+  (* Node-side drops, billed to (svc, node)'s outstanding column. A
+     crash wipe passes node -1, which bills nothing: the controller
+     zeroes the whole column when it learns of the crash. *)
   let resolve_drops svc node count isl =
     touch_ctrl isl;
     ctrl.resolved <- ctrl.resolved + count;
@@ -624,14 +614,16 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     Obs.incr ~by:count obs "serve.dropped";
     note_resolved isl
   in
-  let resolve_crash_drops count isl =
-    touch_ctrl isl;
-    ctrl.resolved <- ctrl.resolved + count;
-    Obs.incr ~by:count obs "serve.dropped";
-    note_resolved isl
-  in
 
   (* --- node islands (island id = node_id + 1) -------------------------- *)
+  (* [n] of [svc]'s requests dropped at [ns]: counted on the node and
+     resolved at the controller, billed to [ns] unless [bill] is given. *)
+  let drop ns ?(bill = ns.node_id) svc n isl =
+    if n > 0 then begin
+      ns.dropped <- ns.dropped + n;
+      Sim.Islands.post isl ~dst:0 ~after:epoch (resolve_drops svc bill n)
+    end
+  in
   let rec start_request ns svc rid at isl =
     touch_state isl ns.node_id;
     let now = Sim.Islands.now isl in
@@ -660,7 +652,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       ns.executing.(svc) <- ns.executing.(svc) - 1;
       let lat_ms = (now -. at) *. 1e3 in
       ns.responded <- ns.responded + 1;
-      let b = bucket_of ~buckets:lat_buckets lat_ms in
+      let b = bucket_of lat_ms in
       ns.lat_counts.(b) <- ns.lat_counts.(b) + 1;
       ns.nf.lat_sum_ms <- ns.nf.lat_sum_ms +. lat_ms;
       ns.lat_n <- ns.lat_n + 1;
@@ -675,10 +667,9 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       end;
       ns.dg_svc_count.(svc) <- c + 1;
       if slo_aware then begin
-        let wb = bucket_of ~buckets:win_buckets lat_ms in
         if ns.dg_lat_n = Array.length ns.dg_lat then
           ns.dg_lat <- grow_int ns.dg_lat;
-        ns.dg_lat.(ns.dg_lat_n) <- (svc lsl 6) lor wb;
+        ns.dg_lat.(ns.dg_lat_n) <- (svc lsl 6) lor b;
         ns.dg_lat_n <- ns.dg_lat_n + 1
       end;
       if Obs.enabled obs then begin
@@ -736,20 +727,13 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
 
   and deliver ns svc rid at isl =
     touch_queue isl ns.node_id;
-    if ns.crashed then begin
-      ns.dropped <- ns.dropped + 1;
-      Sim.Islands.post isl ~dst:0 ~after:epoch (resolve_drops svc ns.node_id 1)
-    end
+    if ns.crashed then drop ns svc 1 isl
     else if ns.hosted.(svc) then begin
       if (not ns.draining.(svc)) && ns.executing.(svc) < cfg.workers then
         start_request ns svc rid at isl
       else if Sim.Ring.length ns.queues.(svc) < queue_cap then
         Sim.Ring.push ns.queues.(svc) at rid
-      else begin
-        ns.dropped <- ns.dropped + 1;
-        Sim.Islands.post isl ~dst:0 ~after:epoch
-          (resolve_drops svc ns.node_id 1)
-      end
+      else drop ns svc 1 isl
     end
     else if ns.forward.(svc) >= 0 then begin
       (* The instance left while this request was in flight; chase it.
@@ -764,8 +748,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       (* Stray: routed here during a crash-recovery transient, before
          the replacement instance landed. Reject rather than buffer —
          the request has nowhere deterministic to wait. *)
-      ns.dropped <- ns.dropped + 1;
-      Sim.Islands.post isl ~dst:0 ~after:epoch (resolve_drops svc ns.node_id 1)
+      drop ns svc 1 isl
     end
 
   and drain_cmd svc dst gen isl =
@@ -809,12 +792,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     touch_state isl ns.node_id;
     touch_queue isl ns.node_id;
     if ns.crashed then begin
-      let n = Sim.Ring.length carried in
-      if n > 0 then begin
-        ns.dropped <- ns.dropped + n;
-        Sim.Islands.post isl ~dst:0 ~after:epoch
-          (resolve_drops svc ns.node_id n)
-      end;
+      drop ns svc (Sim.Ring.length carried) isl;
       Sim.Islands.post isl ~dst:0 ~after:epoch (move_failed svc gen)
     end
     else begin
@@ -833,11 +811,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       Sim.Ring.iter carried (fun at rid ->
           if Sim.Ring.length q < queue_cap then Sim.Ring.push q at rid
           else incr over);
-      if !over > 0 then begin
-        ns.dropped <- ns.dropped + !over;
-        Sim.Islands.post isl ~dst:0 ~after:epoch
-          (resolve_drops svc ns.node_id !over)
-      end;
+      drop ns svc !over isl;
       start_next ns svc isl;
       Sim.Islands.post isl ~dst:0 ~after:epoch
         (move_done svc gen ns.node_id)
@@ -857,11 +831,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       ns.draining.(svc) <- false;
       let n = Sim.Ring.length ns.queues.(svc) in
       Sim.Ring.clear ~shrink_to:0 ns.queues.(svc);
-      if n > 0 then begin
-        ns.dropped <- ns.dropped + n;
-        Sim.Islands.post isl ~dst:0 ~after:epoch
-          (resolve_drops svc ns.node_id n)
-      end
+      drop ns svc n isl
     end
 
   and crash_node ns isl =
@@ -884,10 +854,8 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
         end;
         ns.forward.(s) <- -1
       done;
-      if !lost > 0 then begin
-        ns.dropped <- ns.dropped + !lost;
-        Sim.Islands.post isl ~dst:0 ~after:epoch (resolve_crash_drops !lost)
-      end;
+      (* The wipe spans services and bills no column. *)
+      drop ns ~bill:(-1) 0 !lost isl;
       Sim.Islands.post isl ~dst:0 ~after:epoch (node_crashed ns.node_id)
     end
 
@@ -907,12 +875,14 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     | Some n -> Some n
     | None -> if preferred_x86 then scan arm_ids else scan x86_ids
 
-  and end_span svc ~failed isl =
+  (* Close [svc]'s open migration span, if any, with one int argument. *)
+  and end_span svc ~key ~value isl =
     match ctrl.spans.(svc) with
     | Some span ->
       ctrl.spans.(svc) <- None;
-      let args = if failed then [ ("failed", Obs.I 1) ] else [] in
-      Obs.end_span obs span ~ts:(Sim.Islands.now isl) ~args ()
+      Obs.end_span obs span ~ts:(Sim.Islands.now isl)
+        ~args:[ (key, Obs.I value) ]
+        ()
     | None -> ()
 
   and re_place svc isl =
@@ -945,13 +915,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       if src >= 0 then rep_remove svc src;
       if ctrl.alive.(node) then rep_add svc node;
       ctrl.last_move.(svc) <- Sim.Islands.now isl;
-      (match ctrl.spans.(svc) with
-      | Some span ->
-        ctrl.spans.(svc) <- None;
-        Obs.end_span obs span ~ts:(Sim.Islands.now isl)
-          ~args:[ ("to", Obs.I node) ]
-          ()
-      | None -> ());
+      end_span svc ~key:"to" ~value:node isl;
       if ctrl.op_scale_out.(svc) then begin
         ctrl.op_scale_out.(svc) <- false;
         ctrl.scale_outs <- ctrl.scale_outs + 1;
@@ -961,7 +925,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       (* The landing node may have crashed while the ack was in
          flight; if that left the service with no live replica, place
          it again. *)
-      if live_count svc = 0 then re_place svc isl
+      if live_reps svc = 0 then re_place svc isl
     end
     else if (not ctrl.migrating.(svc)) && not ctrl.hosting.(svc).(node) then
       (* This landing lost a generation race; evict the zombie copy —
@@ -969,14 +933,18 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
          eviction can never race a current landing on the same node. *)
       Sim.Islands.post isl ~dst:(node + 1) ~after:epoch (uninstall_cmd svc)
 
+  (* End [svc]'s running operation as failed. *)
+  and fail_op svc isl =
+    ctrl.migrating.(svc) <- false;
+    ctrl.op_src.(svc) <- -1;
+    ctrl.op_scale_out.(svc) <- false;
+    end_span svc ~key:"failed" ~value:1 isl
+
   and move_failed svc gen isl =
     touch_ctrl isl;
     if gen = ctrl.gen.(svc) then begin
-      ctrl.migrating.(svc) <- false;
-      ctrl.op_src.(svc) <- -1;
-      ctrl.op_scale_out.(svc) <- false;
-      end_span svc ~failed:true isl;
-      if live_count svc = 0 then re_place svc isl
+      fail_op svc isl;
+      if live_reps svc = 0 then re_place svc isl
     end
 
   and node_crashed node isl =
@@ -996,13 +964,8 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
            harmless: a late [move_failed] finds [migrating] false, and
            a drained backlog that was in flight before the crash still
            lands normally (its [move_done] carries the current gen). *)
-        if ctrl.migrating.(s) && ctrl.op_src.(s) = node then begin
-          ctrl.migrating.(s) <- false;
-          ctrl.op_src.(s) <- -1;
-          ctrl.op_scale_out.(s) <- false;
-          end_span s ~failed:true isl
-        end;
-        if live_count s = 0 && not ctrl.migrating.(s) then re_place s isl
+        if ctrl.migrating.(s) && ctrl.op_src.(s) = node then fail_op s isl;
+        if live_reps s = 0 && not ctrl.migrating.(s) then re_place s isl
       done
     end
   in
@@ -1139,7 +1102,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
        survivors while the backlog drains). A lone instance keeps
        routing — requests queue behind the drain, the classic
        downtime-vs-tail trade. *)
-    if live_count svc >= 2 then rep_remove svc src;
+    if live_reps svc >= 2 then rep_remove svc src;
     Sim.Islands.post isl ~dst:(src + 1) ~after:epoch
       (drain_cmd svc dst ctrl.gen.(svc))
   in
@@ -1161,6 +1124,29 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     if Sim.Window_hist.is_empty w then None
     else Some (Sim.Stats.percentile (Sim.Window_hist.histogram w) 0.99)
   in
+  (* The first live anchor along [s]'s chain on one side of the ISA
+     boundary that does not already host [s], or -1. *)
+  let free_anchor ~x86 s =
+    let anchor = if x86 then x86_anchor else arm_anchor in
+    let n = Array.length (if x86 then x86_ids else arm_ids) in
+    let found = ref (-1) in
+    let j = ref 0 in
+    while !found < 0 && !j < n do
+      let cand = anchor s !j in
+      if ctrl.alive.(cand) && not ctrl.hosting.(s).(cand) then found := cand;
+      incr j
+    done;
+    !found
+  in
+  (* The lowest-id ARM node among the [ln] live replicas that
+     [live_reps] left in [live_scratch], or -1. *)
+  let lowest_live_arm ln =
+    let found = ref (-1) in
+    for k = ln - 1 downto 0 do
+      if not (is_x86_node live_scratch.(k)) then found := live_scratch.(k)
+    done;
+    !found
+  in
   (* One SLO decision per service per tick: scale out onto x86 while
      headroom remains on a p99 breach (falling back to a stop-and-copy
      move when already at max_replicas), scale back in — or move home —
@@ -1168,31 +1154,17 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
      this is exactly the classic single-instance escalate/park cycle. *)
   let escalate s isl =
     let ln = live_reps s in
-    let n_x86 = Array.length x86_ids in
-    let find_x86_target () =
-      let found = ref (-1) in
-      let j = ref 0 in
-      while !found < 0 && !j < n_x86 do
-        let cand = x86_anchor s !j in
-        if ctrl.alive.(cand) && not ctrl.hosting.(s).(cand) then found := cand;
-        incr j
-      done;
-      !found
-    in
     if ln < cfg.max_replicas then begin
-      let dst = find_x86_target () in
+      let dst = free_anchor ~x86:true s in
       if dst >= 0 then command_scale_out s ~dst isl
     end
     else begin
       (* At the replica ceiling: move an ARM replica across the
          boundary instead (the PR-7 escalation when the ceiling is 1). *)
-      let victim = ref (-1) in
-      for k = ln - 1 downto 0 do
-        if not (is_x86_node live_scratch.(k)) then victim := live_scratch.(k)
-      done;
-      if !victim >= 0 then begin
-        let dst = find_x86_target () in
-        if dst >= 0 then command_migration s ~src:!victim ~dst isl
+      let victim = lowest_live_arm ln in
+      if victim >= 0 then begin
+        let dst = free_anchor ~x86:true s in
+        if dst >= 0 then command_migration s ~src:victim ~dst isl
       end
     end
   in
@@ -1207,21 +1179,12 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       if ln > cfg.replicas then begin
         (* Above baseline: fold the victim into a surviving ARM
            replica when one exists, else onto a fresh ARM anchor. *)
-        let dst = ref (-1) in
-        for k = ln - 1 downto 0 do
-          if not (is_x86_node live_scratch.(k)) then dst := live_scratch.(k)
-        done;
-        if !dst < 0 then begin
-          let n_arm = Array.length arm_ids in
-          let j = ref 0 in
-          while !dst < 0 && !j < n_arm do
-            let cand = arm_anchor s !j in
-            if ctrl.alive.(cand) && not ctrl.hosting.(s).(cand) then
-              dst := cand;
-            incr j
-          done
-        end;
-        if !dst >= 0 then command_migration s ~src:!victim ~dst:!dst isl
+        let dst =
+          match lowest_live_arm ln with
+          | -1 -> free_anchor ~x86:false s
+          | d -> d
+        in
+        if dst >= 0 then command_migration s ~src:!victim ~dst isl
       end
       else begin
         let dst = arm_anchor s 0 in
@@ -1235,7 +1198,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     let now = Sim.Islands.now isl in
     prune_windows now;
     for s = 0 to services - 1 do
-      if (not ctrl.migrating.(s)) && live_count s > 0 then begin
+      if (not ctrl.migrating.(s)) && live_reps s > 0 then begin
         match window_p99 s with
         | Some p99 when p99 > cfg.slo_ms -> escalate s isl
         | _ ->
@@ -1268,11 +1231,14 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     touch_ctrl isl;
     if slo_aware then prune_windows (Sim.Islands.now isl);
     if Obs.enabled obs then begin
-      let s = Gc.quick_stat () in
+      (* [Gc.minor_words] counts the words allocated so far; the
+         [quick_stat] field only moves when a minor collection ends. *)
+      let minor = Gc.minor_words () in
       Obs.observe obs "serve.gc.minor_words_per_epoch"
-        (Float.max 0.0 (s.Gc.minor_words -. !gc_prev_minor));
-      gc_prev_minor := s.Gc.minor_words;
-      Obs.gauge obs "serve.gc.minor_words" s.Gc.minor_words;
+        (Float.max 0.0 (minor -. !gc_prev_minor));
+      gc_prev_minor := minor;
+      Obs.gauge obs "serve.gc.minor_words" minor;
+      let s = Gc.quick_stat () in
       Obs.gauge obs "serve.gc.major_words" s.Gc.major_words;
       Obs.gauge obs "serve.gc.top_heap_words" (float_of_int s.Gc.top_heap_words)
     end;

@@ -39,59 +39,49 @@ let rec call_multiplicities body =
       | Work _ | Def _ | Use _ | Mig_point _ -> acc)
     [] body
 
-let total_dynamic (prog : t) =
+(* Memoized fold over the call graph: one invocation of a function
+   costs [own] of it plus each callee's total times its call count,
+   added in call order. [what] names the caller in the recursion
+   error. *)
+let call_graph_total ~what ~own (prog : t) =
   let graph = Ir.Callgraph.build prog in
   if Ir.Callgraph.is_recursive graph then
-    invalid_arg "Programs.total_dynamic: recursive program";
-  (* Memoized total cost (own work + callees) of one invocation. *)
+    invalid_arg (Printf.sprintf "Programs.%s: recursive program" what);
   let memo = Hashtbl.create 16 in
-  let rec cost fname =
+  let rec total fname =
     match Hashtbl.find_opt memo fname with
     | Some c -> c
     | None ->
       let func = find_func prog fname in
-      let own = float_of_int (dynamic_instructions func) in
-      let calls = call_multiplicities func.body in
       let c =
         List.fold_left
-          (fun acc (callee, n) -> acc +. (float_of_int n *. cost callee))
-          own calls
-      in
-      Hashtbl.add memo fname c;
-      c
-  in
-  cost prog.entry
-
-let total_checks (prog : t) =
-  let graph = Ir.Callgraph.build prog in
-  if Ir.Callgraph.is_recursive graph then
-    invalid_arg "Programs.total_checks: recursive program";
-  let rec own_checks body =
-    List.fold_left
-      (fun acc stmt ->
-        match stmt with
-        | Mig_point _ -> acc + 1
-        | Loop l -> acc + (l.trips * own_checks l.body)
-        | Work _ | Def _ | Use _ | Call _ -> acc)
-      0 body
-  in
-  let memo = Hashtbl.create 16 in
-  let rec checks fname =
-    match Hashtbl.find_opt memo fname with
-    | Some c -> c
-    | None ->
-      let func = find_func prog fname in
-      let own = float_of_int (own_checks func.body) in
-      let c =
-        List.fold_left
-          (fun acc (callee, n) -> acc +. (float_of_int n *. checks callee))
-          own
+          (fun acc (callee, n) -> acc +. (float_of_int n *. total callee))
+          (own func)
           (call_multiplicities func.body)
       in
       Hashtbl.add memo fname c;
       c
   in
-  checks prog.entry
+  total prog.entry
+
+let total_dynamic prog =
+  call_graph_total ~what:"total_dynamic"
+    ~own:(fun func -> float_of_int (dynamic_instructions func))
+    prog
+
+let rec own_checks body =
+  List.fold_left
+    (fun acc stmt ->
+      match stmt with
+      | Mig_point _ -> acc + 1
+      | Loop l -> acc + (l.trips * own_checks l.body)
+      | Work _ | Def _ | Use _ | Call _ -> acc)
+    0 body
+
+let total_checks prog =
+  call_graph_total ~what:"total_checks"
+    ~own:(fun func -> float_of_int (own_checks func.body))
+    prog
 
 let deepest_chain (prog : t) =
   let graph = Ir.Callgraph.build prog in

@@ -27,7 +27,13 @@ let diagnostic_render () =
   let bare = D.make ~rule:"r" ~severity:D.Info ~prog:"p" "m \"q\"\n" in
   checks "null fields and escaping"
     "{\"rule\":\"r\",\"severity\":\"info\",\"prog\":\"p\",\"func\":null,\"site\":null,\"message\":\"m \\\"q\\\"\\n\"}"
-    (D.to_json bare)
+    (D.to_json bare);
+  (* Tab, CR and other control bytes go through Obs's encoder as
+     \u00XX escapes. *)
+  let ctl = D.make ~rule:"r" ~severity:D.Info ~prog:"p" "a\tb\rc\001" in
+  checks "null fields and escaping: control bytes"
+    "{\"rule\":\"r\",\"severity\":\"info\",\"prog\":\"p\",\"func\":null,\"site\":null,\"message\":\"a\\u0009b\\u000dc\\u0001\"}"
+    (D.to_json ctl)
 
 let diagnostic_report_deterministic () =
   let d1 = D.make ~rule:"b" ~severity:D.Error ~prog:"z" "late" in

@@ -366,6 +366,30 @@ let run_rejects_bad_window_and_demand () =
        .Sched.Service.arrived
     > 0)
 
+(* --- the heartbeat's GC samples ------------------------------------------ *)
+
+(* Each heartbeat samples the words allocated since the last one. The
+   heartbeat's own [Obs.observe] allocates, so with a collecting sink
+   every sample is positive; a counter that only moves when a minor
+   collection ends reads 0 for most epochs. *)
+let gc_samples_per_epoch () =
+  let cfg =
+    Sched.Service.default ~nodes:4 ~seed:7
+      ~source:
+        (Sched.Arrival.bursty_source ~seed:7 ~services:2 ~duration_s:5.0 ())
+  in
+  let obs = Obs.create () in
+  ignore (Sched.Service.run ~obs cfg);
+  match Obs.histogram_samples obs "serve.gc.minor_words_per_epoch" with
+  | None | Some [] -> Alcotest.fail "no per-epoch GC samples"
+  | Some samples ->
+    checkb "more than one epoch sampled" true (List.length samples > 1);
+    List.iteri
+      (fun i w ->
+        checkb (Printf.sprintf "epoch %d allocated (%g words)" i w) true
+          (w > 0.0))
+      samples
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_conservation;
@@ -382,4 +406,6 @@ let suite =
     Alcotest.test_case "trace file round-trip" `Quick trace_file_roundtrip;
     Alcotest.test_case "run rejects a bad window or demand" `Quick
       run_rejects_bad_window_and_demand;
+    Alcotest.test_case "heartbeat samples positive minor words per epoch"
+      `Quick gc_samples_per_epoch;
   ]
