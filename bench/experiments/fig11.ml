@@ -45,7 +45,7 @@ let native () =
   in
   let sensors = Obs.create () in
   (* The sensors must outlast the run (about 12.7 s), whose end is not
-     known when they attach; the last row is read at the end. *)
+     known when they attach. *)
   Kernel.Popcorn.attach_sensors cluster.Hetmig.Het.pop sensors ~hz:100.0
     ~until:20.0;
   Hetmig.Het.start cluster proc;

@@ -130,7 +130,7 @@ let () =
     | arg :: _ when String.starts_with ~prefix:"-" arg ->
       usage_error "unknown flag %s" arg
     | name :: rest ->
-      if Experiments.Registry.find name = None then
+      if not (List.mem name Experiments.Registry.names) then
         usage_error "unknown experiment %s" name;
       wanted := name :: !wanted;
       parse rest
