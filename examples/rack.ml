@@ -36,7 +36,7 @@ let simulate ~consolidate =
             th.Kernel.Process.remaining <- phases)
           proc.Kernel.Process.threads
           (Workload.Spec.phases_for_process spec ~threads:1
-             ~quantum_instructions:1e8
+             ~quantum_instructions:Workload.Spec.quantum_instructions
              ~data_pages:proc.Kernel.Process.data_pages);
         Kernel.Popcorn.start pop proc;
         proc)

@@ -46,14 +46,13 @@ let compare a b =
 
 let is_rule registry id = List.exists (fun (r, _, _) -> r = id) registry
 
-let validate_rules registry ~who = function
+let unknown_rule registry ids =
+  List.find_opt (fun id -> not (is_rule registry id)) ids
+
+let validate_rules registry ~who ids =
+  match unknown_rule registry (Option.value ids ~default:[]) with
+  | Some id -> invalid_arg (Printf.sprintf "%s: unknown rule %s" who id)
   | None -> ()
-  | Some ids ->
-      List.iter
-        (fun id ->
-          if not (is_rule registry id) then
-            invalid_arg (Printf.sprintf "%s: unknown rule %s" who id))
-        ids
 
 let selected ids d =
   match ids with None -> true | Some ids -> List.mem d.rule ids

@@ -43,6 +43,10 @@ val compare : t -> t -> int
 
 val is_rule : (string * severity * string) list -> string -> bool
 
+val unknown_rule :
+  (string * severity * string) list -> string list -> string option
+(** The first id that names no rule of the registry, if any. *)
+
 val validate_rules :
   (string * severity * string) list -> who:string -> string list option -> unit
 (** Raises [Invalid_argument "<who>: unknown rule <id>"]. *)

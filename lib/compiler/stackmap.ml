@@ -138,14 +138,3 @@ let join_sites a b =
       a
   in
   (pairs, mismatches)
-
-let common_sites a b =
-  match join_sites a b with
-  | pairs, [] -> pairs
-  | _, (first :: _ as mismatches) ->
-    invalid_arg
-      (Format.asprintf
-         "Stackmap.common_sites: metadata sets disagree (%d mismatch%s): %a"
-         (List.length mismatches)
-         (if List.length mismatches = 1 then "" else "es")
-         pp_mismatch first)

@@ -29,11 +29,10 @@ val find : entry list -> fname:string -> key:site_key -> entry option
 
     Multi-ISA binaries are compiled from the same IR, so the per-ISA
     metadata sets must describe the same equivalence points with the same
-    live-variable names. A violated invariant used to surface as a single
-    [Invalid_argument] from {!common_sites}; {!diff_sites} instead reports
-    {e every} disagreement, which is what the static verifier
-    ([hetmig lint]) renders as diagnostics and what the transformation
-    runtime uses for precise error messages. *)
+    live-variable names. {!diff_sites} reports {e every} disagreement,
+    which is what the static verifier ([hetmig lint]) renders as
+    diagnostics and what the transformation runtime uses for precise
+    error messages. *)
 
 type mismatch =
   | Site_missing of {
@@ -58,15 +57,9 @@ val pp_mismatch : Format.formatter -> mismatch -> unit
 val diff_sites : entry list -> entry list -> mismatch list
 (** Exhaustive comparison of two per-ISA metadata sets: every missing
     site, out-of-order site, and live-set disagreement, in a deterministic
-    order. [[]] means the sets agree (the {!common_sites} precondition). *)
+    order. [[]] means the sets agree. *)
 
 val join_sites : entry list -> entry list -> (entry * entry) list * mismatch list
 (** Pair up the entries that {e do} agree (same (function, kind, site) key
     and same live-variable names), alongside the full mismatch report.
     With an empty report the pairs cover both sets in order. *)
-
-val common_sites : entry list -> entry list -> (entry * entry) list
-(** Raising wrapper over {!join_sites} kept for compatibility: pairs up
-    entries describing the same (function, site) on two ISAs and raises
-    [Invalid_argument] with the first mismatch (and the total mismatch
-    count) if the sets disagree in any way. *)

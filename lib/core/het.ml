@@ -156,7 +156,7 @@ let make_cluster ?machines ?faults ?dsm_batch ?prefetch () =
   { engine; pop; container }
 
 let deploy cluster (binary : binary) ~spec ?(threads = 1)
-    ?(quantum_instructions = 1e8) ~node () =
+    ?(quantum_instructions = Workload.Spec.quantum_instructions) ~node () =
   let placeholder = List.init threads (fun _ -> Seq.empty) in
   let proc =
     Kernel.Popcorn.spawn cluster.pop ~container:cluster.container ~node

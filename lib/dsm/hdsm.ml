@@ -80,8 +80,17 @@ type t = {
   st : stats;
 }
 
-let create ?(handler_latency_s = 50e-6) ?(batch = false) ?(obs = Obs.noop)
-    ?(now = fun () -> 0.0) ~nodes ~interconnect () =
+let default_handler_latency_s = 50e-6
+
+(* A remote page fault: the handler on top of a page round trip. *)
+let fault_latency handler_latency_s link =
+  handler_latency_s
+  +. Machine.Interconnect.page_transfer_time link ~page_bytes:Memsys.Page.size
+
+let page_fault_latency link = fault_latency default_handler_latency_s link
+
+let create ?(handler_latency_s = default_handler_latency_s) ?(batch = false)
+    ?(obs = Obs.noop) ?(now = fun () -> 0.0) ~nodes ~interconnect () =
   if nodes > Sys.int_size - 2 then
     invalid_arg "Hdsm.create: too many nodes for the copy-set bitmask";
   {
@@ -258,10 +267,7 @@ let state_of t ~page node =
   else if e.exclusive then Exclusive
   else Shared
 
-let page_latency t =
-  t.handler_latency_s
-  +. Machine.Interconnect.page_transfer_time t.interconnect
-       ~page_bytes:Memsys.Page.size
+let page_latency t = fault_latency t.handler_latency_s t.interconnect
 
 let batch_latency t ~pages =
   t.handler_latency_s

@@ -60,6 +60,11 @@ val create :
     timestamps (events stamp 0 without it). Coherence behaviour and
     returned latencies are unaffected. *)
 
+val page_fault_latency : Machine.Interconnect.t -> float
+(** One remote page fault at {!create}'s default 50 us handler: the
+    handler on top of {!Machine.Interconnect.page_transfer_time}. A
+    demand fetch of an hDSM built with the default costs exactly this. *)
+
 val batching : t -> bool
 
 val register_page : t -> page:int -> owner:node -> unit

@@ -1,10 +1,7 @@
-type t = { name : string; latency_s : float; bandwidth_bps : float }
+type t = { latency_s : float; bandwidth_bps : float }
 
-let dolphin_pxh810 =
-  { name = "Dolphin ICS PXH810"; latency_s = 1.5e-6; bandwidth_bps = 64e9 }
-
-let ethernet_10g =
-  { name = "10GbE"; latency_s = 20e-6; bandwidth_bps = 10e9 }
+let dolphin_pxh810 = { latency_s = 1.5e-6; bandwidth_bps = 64e9 }
+let ethernet_10g = { latency_s = 20e-6; bandwidth_bps = 10e9 }
 
 let transfer_time t ~bytes =
   t.latency_s +. (float_of_int (bytes * 8) /. t.bandwidth_bps)

@@ -5,14 +5,17 @@
     available when the paper's experiment was designed. *)
 
 type t = {
-  name : string;
   latency_s : float;  (** one-way message latency for a small message *)
   bandwidth_bps : float;  (** payload bandwidth, bits per second *)
 }
+(** All floats, so OCaml stores a link's two fields unboxed. *)
 
 val dolphin_pxh810 : t
+(** The paper's PCIe bridge: 1.5 us, 64 Gb/s. *)
+
 val ethernet_10g : t
-(** A slower alternative used by ablation benches. *)
+(** 10GbE, 20 us, 10 Gb/s: the ablation benches' slower alternative and
+    every node's link to its rack switch in {!Topology}. *)
 
 val transfer_time : t -> bytes:int -> float
 (** One-way time to move [bytes]: latency + serialization. *)

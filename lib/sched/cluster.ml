@@ -99,14 +99,12 @@ let default ~topology ~jobs ~seed =
     fail_rate = 0.0;
   }
 
-(* One rack whose local link is the paper's 10GbE interconnect: every
-   distinct pair sees the original point-to-point cost model. *)
+(* One rack: every distinct pair sees the 10GbE link, the original
+   point-to-point cost model. *)
 let fleet ~nodes ~jobs ~seed =
   {
     (default
-       ~topology:
-         (Machine.Topology.flat ~nodes
-            ~interconnect:Machine.Interconnect.ethernet_10g ())
+       ~topology:(Machine.Topology.make ~racks:1 ~nodes_per_rack:nodes ())
        ~jobs ~seed)
     with
     mean_interarrival_s = 0.5;
@@ -153,9 +151,7 @@ type job = {
   phase_instr : float;
 }
 
-(* Instructions per job phase, as in the Popcorn-ensemble scheduler. *)
-let quantum_instructions = 1e8
-
+(* Phases as in the Popcorn-ensemble scheduler: one quantum each. *)
 let make_job rng jid arrival =
   let bench, cls = Sim.Prng.choice rng job_pool in
   let spec = Workload.Spec.spec bench cls in
@@ -164,7 +160,8 @@ let make_job rng jid arrival =
     spec.Workload.Spec.total_instructions /. float_of_int threads
   in
   let n_phases =
-    max 1 (int_of_float (Float.ceil (per_thread /. quantum_instructions)))
+    Workload.Spec.phase_count spec ~threads
+      ~quantum_instructions:Workload.Spec.quantum_instructions
   in
   { jid; arrival; threads; spec; n_phases;
     phase_instr = per_thread /. float_of_int n_phases }
@@ -206,18 +203,6 @@ type sched_state = {
   mutable deferred : int;
   mutable peak_power_w : float;
 }
-
-(* Remote page fault served by the hDSM protocol: handler software on
-   top of a round trip over the given path, as in `Dsm.Hdsm`. Warm
-   misses hit the nearest replica (one local hop); cold working sets
-   stream from wherever the job last lived — the head's job store on
-   first placement, the previous host after a migration — so fault cost
-   is path-dependent. *)
-let fault_handler_s = 50e-6
-
-let fault_cost_over link =
-  fault_handler_s
-  +. Machine.Topology.page_transfer_time_link link ~page_bytes:Memsys.Page.size
 
 (* Pages a phase touches; kept small — locality within a quantum — but
    a cold (just-placed or just-migrated) working set faults on all of
@@ -389,13 +374,15 @@ let run_impl ?(domains = 1) ~capture cfg =
       peak_power_w = 0.0;
     }
   in
-  let warm_fault_cost = fault_cost_over topo.Machine.Topology.local in
+  (* An hDSM page fault over its path. Warm misses hit the nearest
+     replica (one local hop); cold working sets stream from wherever the
+     job last lived: the head's job store on first placement, the
+     previous host after a migration. *)
+  let warm_fault_cost = Dsm.Hdsm.page_fault_latency Machine.Topology.local in
   let cold_fault_cost (r : running) ns =
-    if r.src_node < 0 then
-      fault_cost_over (Machine.Topology.head_path topo ~dst:ns.node_id)
-    else
-      fault_cost_over
-        (Machine.Topology.path topo ~src:r.src_node ~dst:ns.node_id)
+    Dsm.Hdsm.page_fault_latency
+      (if r.src_node < 0 then Machine.Topology.head_path topo ~dst:ns.node_id
+       else Machine.Topology.path topo ~src:r.src_node ~dst:ns.node_id)
   in
   (* Job arrivals: drawn up-front from the run seed (independent of any
      island stream), Poisson-spaced. *)

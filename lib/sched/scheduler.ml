@@ -22,9 +22,7 @@ let thread_location (th : Kernel.Process.thread) =
 
 type admission = Fcfs | Sjf
 
-(* Phase length of every job, and the dynamic policies' load-check
-   interval. *)
-let quantum_instructions = 1e8
+(* The dynamic policies' load-check interval. *)
 let rebalance_period = 2.0
 
 let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
@@ -171,7 +169,8 @@ let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
     in
     let phase_lists =
       Workload.Spec.phases_for_process spec ~threads:job.Job.threads
-        ~quantum_instructions ~data_pages:proc.Kernel.Process.data_pages
+        ~quantum_instructions:Workload.Spec.quantum_instructions
+        ~data_pages:proc.Kernel.Process.data_pages
     in
     List.iter2
       (fun (th : Kernel.Process.thread) phases ->

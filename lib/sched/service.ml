@@ -2,7 +2,8 @@
    runtime.
 
    Topology mirrors `Cluster`'s: island 0 is the router/controller, islands
-   1..N are nodes alternating x86 (Xeon) and arm64 (X-Gene) servers.
+   1..N are the nodes of a one-rack `Machine.Topology`, alternating x86
+   (Xeon) and arm64 (X-Gene) servers.
    Long-lived service instances are pinned to nodes; requests arrive
    open-loop from a streaming `Arrival.source` (they keep coming whether
    or not earlier ones finished — that is what produces real queueing
@@ -244,11 +245,6 @@ type ctrl_state = {
   mutable exhausted : bool;  (* the arrival stream ran dry *)
 }
 
-let machine_for i =
-  if i mod 2 = 0 then Machine.Server.xeon_e5_1650_v2 else Machine.Server.xgene1
-
-let is_x86_node i = i mod 2 = 0
-
 (* A node's power state: off when crashed, the low-power state when it
    hosts nothing (service-free servers sleep — the energy the SLO policy
    harvests by parking idle services on fewer machines), else the affine
@@ -281,11 +277,11 @@ let demand_for cfg rid =
          (cfg.seed lxor ((rid + 1) * 0x9e3779b1))
          ~mu:(-0.5 *. sigma *. sigma) ~sigma
 
-(* Every node pair talks over the paper's 10GbE link; each instance
-   queues at most [queue_cap] requests (overflow drops) and moves a
-   64 MiB working set when it migrates. *)
-let interconnect = Machine.Interconnect.ethernet_10g
-let epoch_floor_s = interconnect.Machine.Interconnect.latency_s
+(* The nodes are one rack, so every node pair talks over the rack's
+   10GbE local link; each instance queues at most [queue_cap] requests
+   (overflow drops) and moves a 64 MiB working set when it migrates. *)
+let topology cfg = Machine.Topology.make ~racks:1 ~nodes_per_rack:cfg.nodes ()
+let epoch_floor_s = Machine.Topology.local.latency_s
 let queue_cap = 512
 let footprint_bytes = 64 * 1024 * 1024
 
@@ -297,11 +293,11 @@ let migration_pause cfg =
   if cfg.zero_downtime then 0.0
   else
     300e-6
-    +. Machine.Interconnect.batch_transfer_time interconnect
+    +. Machine.Interconnect.batch_transfer_time Machine.Topology.local
          ~pages:(Memsys.Page.count ~bytes:footprint_bytes)
          ~page_bytes:Memsys.Page.size
     +. Kernel.Service.replication_cost ~consistency:Kernel.Service.Strong
-         ~interconnect ~replicas:cfg.nodes ~entries:4
+         ~interconnect:Machine.Topology.local ~replicas:cfg.nodes ~entries:4
 
 (* --- the simulation ---------------------------------------------------- *)
 
@@ -340,6 +336,10 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
   let services = Arrival.stream_services stream in
   if services < 1 then invalid_arg "Service.run: trace has no services";
   let tname = Arrival.stream_name stream in
+  let topo = topology cfg in
+  let is_x86 i =
+    (Machine.Topology.server topo i).Machine.Server.arch = Isa.Arch.X86_64
+  in
   let rt =
     Sim.Islands.create ~capture ~islands:(cfg.nodes + 1) ~lookahead:cfg.epoch_s
       ~seed:cfg.seed ()
@@ -371,10 +371,11 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
   in
   let nodes =
     Array.init cfg.nodes (fun i ->
+        let machine = Machine.Topology.server topo i in
         {
           node_id = i;
-          machine = machine_for i;
-          power_tbl = Machine.Server.load_watts (machine_for i);
+          machine;
+          power_tbl = Machine.Server.load_watts machine;
           nf =
             {
               energy_j = 0.0;
@@ -382,7 +383,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
               lat_sum_ms = 0.0;
               downtime_s = 0.0;
               inv_ips =
-                Isa.Cost_model.seconds_for (machine_for i).Machine.Server.cost
+                Isa.Cost_model.seconds_for machine.Machine.Server.cost
                   Isa.Cost_model.Memory ~instructions:1.0;
             };
           crashed = false;
@@ -421,12 +422,9 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
      comes from). Replica r of a service sits r steps further along its
      side's anchor chain, so placement stays a pure function of the
      service id, the replica index, and the policy history. *)
-  let x86_ids =
-    Array.of_list (List.filter is_x86_node (List.init cfg.nodes Fun.id))
-  in
-  let arm_ids =
-    Array.of_list
-      (List.filter (fun i -> not (is_x86_node i)) (List.init cfg.nodes Fun.id))
+  let x86_ids, arm_ids =
+    let x86, arm = List.partition is_x86 (List.init cfg.nodes Fun.id) in
+    (Array.of_list x86, Array.of_list arm)
   in
   if Array.length x86_ids = 0 || Array.length arm_ids = 0 then
     invalid_arg "Service.run: need nodes on both sides of the ISA boundary";
@@ -1143,7 +1141,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
   let lowest_live_arm ln =
     let found = ref (-1) in
     for k = ln - 1 downto 0 do
-      if not (is_x86_node live_scratch.(k)) then found := live_scratch.(k)
+      if not (is_x86 live_scratch.(k)) then found := live_scratch.(k)
     done;
     !found
   in
@@ -1173,7 +1171,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     (* Retire the highest-id live x86 replica. *)
     let victim = ref (-1) in
     for k = 0 to ln - 1 do
-      if is_x86_node live_scratch.(k) then victim := live_scratch.(k)
+      if is_x86 live_scratch.(k) then victim := live_scratch.(k)
     done;
     if !victim >= 0 then begin
       if ln > cfg.replicas then begin
@@ -1373,13 +1371,14 @@ let run_audited ?domains ?obs cfg =
    simulation, so `--seq` and `--islands N` outputs diff clean. *)
 let render cfg (r : result) =
   let b = Buffer.create 512 in
-  let x86 = (cfg.nodes + 1) / 2 in
+  let isas = Machine.Topology.isa_count (topology cfg) in
   Printf.bprintf b
     "serve: trace=%s services=%d nodes=%d (x86=%d arm64=%d) seed=%d \
      epoch=%.3fs slo=%.1fms policy=%s window=%.1fs workers=%d queue-cap=%d \
      replicas=%d max-replicas=%d routing=%s zero-downtime=%s crashes=%d\n"
-    r.tname r.services cfg.nodes x86 (cfg.nodes - x86) cfg.seed cfg.epoch_s
-    cfg.slo_ms (policy_name cfg.policy) cfg.window_s cfg.workers queue_cap
+    r.tname r.services cfg.nodes (isas Isa.Arch.X86_64) (isas Isa.Arch.Arm64)
+    cfg.seed cfg.epoch_s cfg.slo_ms (policy_name cfg.policy) cfg.window_s
+    cfg.workers queue_cap
     cfg.replicas cfg.max_replicas (routing_name cfg.routing)
     (if cfg.zero_downtime then "on" else "off")
     (List.length cfg.crashes);

@@ -84,12 +84,13 @@ type config = {
 }
 
 val default : nodes:int -> seed:int -> source:Arrival.source -> config
-(** Every node pair talks over the paper's 10GbE link, each instance
-    queues at most 512 requests (overflow drops), and a migration moves
-    a 64 MiB working set; these are fixed, not configurable. *)
+(** The [nodes] are one {!Machine.Topology} rack, alternating x86 and
+    arm64, every pair over its 10GbE local link; each instance queues at
+    most 512 requests (overflow drops), and a migration moves a 64 MiB
+    working set; these are fixed, not configurable. *)
 
 val epoch_floor_s : float
-(** The 10GbE link latency: [epoch_s] must exceed it. *)
+(** The latency of {!Machine.Topology.local}: [epoch_s] must exceed it. *)
 
 type result = {
   tname : string;  (** the stream's trace name *)

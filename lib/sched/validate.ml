@@ -90,8 +90,8 @@ let trace_file path =
     errf "--trace-file %s" msg
 
 (* Rack topology from the fleet/cluster CLI knobs. [racks = 1] is the
-   flat pre-cluster topology whose single hop is the paper's 10GbE
-   point-to-point interconnect. *)
+   flat pre-cluster topology whose single hop is the 10GbE
+   point-to-point link. *)
 let topology ~nodes ~racks ~mix_name =
   match Machine.Topology.mix_of_name mix_name with
   | None ->
@@ -103,10 +103,6 @@ let topology ~nodes ~racks ~mix_name =
       errf "--racks %d exceeds --nodes %d" racks nodes
     else if nodes mod racks <> 0 then
       errf "--nodes %d is not divisible by --racks %d" nodes racks
-    else if racks = 1 then
-      Ok
-        (Machine.Topology.flat ~mix ~nodes
-           ~interconnect:Machine.Interconnect.ethernet_10g ())
     else
       Ok (Machine.Topology.make ~mix ~racks ~nodes_per_rack:(nodes / racks) ())
 

@@ -99,6 +99,12 @@ let window_runs data_pages ~n ~start ~len =
   in
   if n = 0 then [] else take [] (start mod n) (min len n) data_pages 0
 
+let quantum_instructions = 1e8
+
+let phase_count t ~threads ~quantum_instructions =
+  let per_thread = t.total_instructions /. float_of_int threads in
+  max 1 (int_of_float (Float.ceil (per_thread /. quantum_instructions)))
+
 (* One lazy phase sequence per thread: phase [i] of thread [tid] samples
    the 16-page window at flat index [(tid * n_phases + i) * 16], and is
    rebuilt each time the sequence is forced there. *)
@@ -107,9 +113,7 @@ let phases_of_ranges t ~threads ~quantum_instructions ~data_pages =
   if quantum_instructions <= 0.0 then
     invalid_arg "Spec.phases: non-positive quantum";
   let per_thread = t.total_instructions /. float_of_int threads in
-  let n_phases =
-    max 1 (int_of_float (Float.ceil (per_thread /. quantum_instructions)))
-  in
+  let n_phases = phase_count t ~threads ~quantum_instructions in
   let phase_instr = per_thread /. float_of_int n_phases in
   let writes = t.category <> Isa.Cost_model.Compute in
   let n = Memsys.Page.ranges_count data_pages in

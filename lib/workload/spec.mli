@@ -32,6 +32,13 @@ val classes : cls list
 
 val spec : bench -> cls -> t
 
+val quantum_instructions : float
+(** One scheduling quantum, 1e8 instructions: every scheduler's phase. *)
+
+val phase_count : t -> threads:int -> quantum_instructions:float -> int
+(** Phases per thread of an even split over [threads]: the per-thread
+    share over the quantum, rounded up, and at least one. *)
+
 val phases :
   t -> threads:int -> quantum_instructions:float -> Kernel.Process.phase Seq.t list
 (** Split the workload into one lazy phase sequence per thread (see

@@ -481,14 +481,7 @@ let diff_sites_exhaustive () =
   let pairs, report = Compiler.Stackmap.join_sites a b in
   checki "agreeing sites still paired" 1 (List.length pairs);
   checki "join carries the full report" (List.length mismatches)
-    (List.length report);
-  Alcotest.check_raises "raising wrapper keeps its contract"
-    (Invalid_argument
-       (Format.asprintf
-          "Stackmap.common_sites: metadata sets disagree (%d mismatches): %a"
-          (List.length mismatches) Compiler.Stackmap.pp_mismatch
-          (List.hd mismatches)))
-    (fun () -> ignore (Compiler.Stackmap.common_sites a b))
+    (List.length report)
 
 (* --- QCheck: mutation-style over random programs ------------------------ *)
 

@@ -169,12 +169,13 @@ let stackmap_entries_per_site () =
     (let names = List.map fst e.Compiler.Stackmap.live in
      names = List.sort compare names)
 
-let stackmap_common_sites_agree () =
+let stackmap_sites_agree () =
   let fa = Compiler.Backend.frame_layout Isa.Arch.Arm64 sample_func in
   let fx = Compiler.Backend.frame_layout Isa.Arch.X86_64 sample_func in
   let ea = Compiler.Stackmap.generate sample_func fa in
   let ex = Compiler.Stackmap.generate sample_func fx in
-  let pairs = Compiler.Stackmap.common_sites ea ex in
+  let pairs, report = Compiler.Stackmap.join_sites ea ex in
+  checki "no mismatch" 0 (List.length report);
   checki "paired" (List.length ea) (List.length pairs);
   List.iter
     (fun ((a : Compiler.Stackmap.entry), (b : Compiler.Stackmap.entry)) ->
@@ -544,8 +545,9 @@ let toolchain_stackmaps_consistent_across_isas () =
   in
   match maps with
   | [ a; b ] ->
-    checki "pairs up" (List.length a)
-      (List.length (Compiler.Stackmap.common_sites a b))
+    let pairs, report = Compiler.Stackmap.join_sites a b in
+    checki "no mismatch" 0 (List.length report);
+    checki "pairs up" (List.length a) (List.length pairs)
   | _ -> Alcotest.fail "expected two metadata sets"
 
 let suite =
@@ -559,7 +561,7 @@ let suite =
     ("backend frame size sufficient", `Quick, backend_frame_fits);
     ("backend x86 spills more than arm", `Quick, backend_x86_fewer_registers);
     ("stackmap per-site entries", `Quick, stackmap_entries_per_site);
-    ("stackmap cross-ISA agreement", `Quick, stackmap_common_sites_agree);
+    ("stackmap cross-ISA agreement", `Quick, stackmap_sites_agree);
     ("unwind rules", `Quick, unwind_rules);
     ("unwind save-slot lookup", `Quick, unwind_saved_offset_lookup);
     ("profiler straight-line gaps", `Quick, profiler_straight_line);

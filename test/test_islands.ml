@@ -607,9 +607,7 @@ let qcheck_cluster_deterministic =
       in
       let topology =
         match raw / 60 mod 5 with
-        | 0 ->
-          Machine.Topology.flat ~nodes:3
-            ~interconnect:Machine.Interconnect.ethernet_10g ()
+        | 0 -> Machine.Topology.make ~racks:1 ~nodes_per_rack:3 ()
         | shape ->
           let racks, nodes_per_rack =
             pick [ (1, 6); (2, 4); (3, 4); (4, 2) ] shape
@@ -673,9 +671,7 @@ let cluster_power_cap_floor () =
       ("x86-only 2x3", grid Machine.Topology.X86_only 2 3);
       ("arm-only 1x6", grid Machine.Topology.Arm_only 1 6);
       ("isa-racks 2x4", grid Machine.Topology.Isa_racks 2 4);
-      ( "flat 5",
-        Machine.Topology.flat ~nodes:5
-          ~interconnect:Machine.Interconnect.ethernet_10g () );
+      ("flat 5", Machine.Topology.make ~racks:1 ~nodes_per_rack:5 ());
       ("x86-only 2x8", grid Machine.Topology.X86_only 2 8) ]
   in
   List.iter

@@ -158,8 +158,8 @@ let validate_topology () =
     (err (V.topology ~nodes:8 ~racks:9 ~mix_name:"alternate"));
   (match V.topology ~nodes:8 ~racks:1 ~mix_name:"alternate" with
   | Ok t ->
-    checkb "racks=1 is the flat paper interconnect" true
-      (t.Machine.Topology.local.Machine.Topology.latency_s
+    checkb "racks=1 is the flat 10GbE link" true
+      ((Machine.Topology.path t ~src:0 ~dst:7).Machine.Topology.latency_s
       = Machine.Interconnect.ethernet_10g.Machine.Interconnect.latency_s)
   | Error e -> Alcotest.fail e);
   match V.topology ~nodes:8 ~racks:2 ~mix_name:"isa-racks" with
