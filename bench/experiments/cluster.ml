@@ -2,9 +2,10 @@
    and the global placement policies on the island runtime.
 
    Part 1 checks the topology cost model: a flat single-rack cluster
-   reproduces the 10GbE link's point-to-point numbers exactly,
-   and in a racked cluster a cross-rack transfer pays strictly more
-   than a same-rack one (two local hops plus the aggregation layer).
+   reproduces the 10GbE link's point-to-point numbers exactly, in a
+   racked cluster a cross-rack transfer pays strictly more than a
+   same-rack one (two local hops plus the aggregation layer), and the
+   runtime's window lookahead is the epoch plus the same-rack latency.
 
    Part 2 runs a 64-node/4-rack mixed-ISA scenario under each global
    policy — power-capped bin packing, EDP-aware dynamic migration and
@@ -23,8 +24,10 @@ let part1 ppf =
   let cross = (Machine.Topology.path topo ~src:0 ~dst:15).Machine.Topology.latency_s in
   Shape.check ppf "cross-rack path costs more than same-rack"
     (cross > same && same > 0.0);
-  Shape.check ppf "same-rack latency is the island lookahead floor"
-    (Machine.Topology.min_path_latency topo = same)
+  let cfg = Sched.Cluster.default ~topology:topo ~jobs:20 ~seed:17 in
+  let _, cap = Sched.Cluster.run_audited cfg in
+  Shape.check ppf "runtime lookahead is the epoch plus the same-rack latency"
+    (cap.Sim.Islands.c_lookahead = cfg.Sched.Cluster.epoch_s +. same)
 
 let part2 ppf =
   let topo = Machine.Topology.make ~racks:4 ~nodes_per_rack:16 () in

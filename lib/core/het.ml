@@ -155,24 +155,10 @@ let make_cluster ?machines ?faults ?dsm_batch ?prefetch () =
   let container = Kernel.Popcorn.new_container pop ~name:"demo" in
   { engine; pop; container }
 
-let deploy cluster (binary : binary) ~spec ?(threads = 1)
-    ?(quantum_instructions = Workload.Spec.quantum_instructions) ~node () =
-  let placeholder = List.init threads (fun _ -> Seq.empty) in
-  let proc =
-    Kernel.Popcorn.spawn cluster.pop ~container:cluster.container ~node
-      ~name:spec.Workload.Spec.name ~binary
-      ~footprint_bytes:spec.Workload.Spec.footprint_bytes
-      ~thread_phases:placeholder ()
-  in
-  let phase_lists =
-    Workload.Spec.phases_for_process spec ~threads ~quantum_instructions
-      ~data_pages:proc.Kernel.Process.data_pages
-  in
-  List.iter2
-    (fun (th : Kernel.Process.thread) phases ->
-      th.Kernel.Process.remaining <- phases)
-    proc.Kernel.Process.threads phase_lists;
-  proc
+let deploy cluster (binary : binary) ~spec ?(threads = 1) ?quantum_instructions
+    ~node () =
+  Workload.Spec.spawn cluster.pop ~container:cluster.container ~node ~binary
+    ?quantum_instructions spec ~threads
 
 let start cluster proc = Kernel.Popcorn.start cluster.pop proc
 let migrate cluster proc ~to_node = Kernel.Popcorn.migrate cluster.pop proc ~to_node

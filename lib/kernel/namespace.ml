@@ -1,14 +1,3 @@
-type kind = Mnt | Pid | Uts | Ipc | Net
-
-let kind_to_string = function
-  | Mnt -> "mnt"
-  | Pid -> "pid"
-  | Uts -> "uts"
-  | Ipc -> "ipc"
-  | Net -> "net"
-
-let all_kinds = [ Mnt; Pid; Uts; Ipc; Net ]
-
 type t = {
   ns_name : string;
   mutable host : string;

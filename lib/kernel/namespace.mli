@@ -8,15 +8,10 @@
     replicated like any other service slice; this module models the view
     itself and the invariant that it is identical on every node. *)
 
-type kind = Mnt | Pid | Uts | Ipc | Net
-
-val kind_to_string : kind -> string
-val all_kinds : kind list
-
 type t
 
 val create_set : name:string -> t
-(** A fresh namespace set (one namespace of each kind), like
+(** A fresh namespace set (mount, pid, UTS, IPC and net), like
     [unshare(CLONE_NEWNS | ...)] for a new container. *)
 
 val name : t -> string

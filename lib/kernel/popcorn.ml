@@ -1,12 +1,10 @@
 type node = {
   id : int;
   machine : Machine.Server.t;
-  load_watts : float array;
+  meter : Machine.Server.meter;
   mutable busy : int;
   mutable powered : bool;
   mutable crashed : bool;
-  mutable energy_j : float;
-  mutable last_power_update : float;
 }
 
 type t = {
@@ -47,18 +45,14 @@ let utilization t id =
     Float.min 1.0
       (float_of_int n.busy /. float_of_int n.machine.Machine.Server.cores)
 
-let node_power t id =
-  let n = t.nodes.(id) in
-  if not n.powered then n.machine.Machine.Server.power.Machine.Power.sleep_w
-  else n.load_watts.(Int.min n.busy n.machine.Machine.Server.cores)
-
 (* Power only changes when busy/powered changes, so integrating energy at
-   those transitions is exact. *)
+   those transitions is exact. An unpowered node, crashed or not, draws
+   sleep power. *)
 let settle_energy t id =
   let n = t.nodes.(id) in
-  let now = Sim.Engine.now t.engine in
-  n.energy_j <- n.energy_j +. ((now -. n.last_power_update) *. node_power t id);
-  n.last_power_update <- now
+  Machine.Server.settle n.meter ~now:(Sim.Engine.now t.engine)
+    Machine.Server.(if n.powered then On else Asleep)
+    ~load:n.busy
 
 let adjust_busy t id delta =
   settle_energy t id;
@@ -68,7 +62,7 @@ let adjust_busy t id delta =
 
 let energy t id =
   settle_energy t id;
-  t.nodes.(id).energy_j
+  Machine.Server.joules t.nodes.(id).meter
 
 (* Kill a process orphaned by a node crash: every live thread is retired
    in place (thread hooks fire so observers drop it from their load
@@ -122,16 +116,15 @@ let crash t ~node =
     orphans
   end
 
-let create engine ?(interconnect = Machine.Interconnect.dolphin_pxh810)
-    ?faults ?(dsm_batch = false) ?(prefetch = false) ?(obs = Obs.noop)
-    ~machines () =
+let create engine ?faults ?(dsm_batch = false) ?(prefetch = false)
+    ?(obs = Obs.noop) ~machines () =
+  let interconnect = Machine.Interconnect.dolphin_pxh810 in
   let nodes =
     Array.of_list
       (List.mapi
          (fun id machine ->
-           { id; machine; load_watts = Machine.Server.load_watts machine;
-             busy = 0; powered = true; crashed = false; energy_j = 0.0;
-             last_power_update = 0.0 })
+           { id; machine; meter = Machine.Server.meter machine; busy = 0;
+             powered = true; crashed = false })
          machines)
   in
   let injector =

@@ -18,12 +18,10 @@
 type node = {
   id : int;
   machine : Machine.Server.t;
-  load_watts : float array;  (** [Machine.Server.load_watts machine] *)
+  meter : Machine.Server.meter;  (** integrated system energy *)
   mutable busy : int;  (** threads currently executing a phase *)
   mutable powered : bool;  (** false = low-power state *)
   mutable crashed : bool;  (** fail-stop: never powers back on *)
-  mutable energy_j : float;  (** integrated system energy *)
-  mutable last_power_update : float;
 }
 
 type t = {
@@ -56,7 +54,6 @@ type t = {
 
 val create :
   Sim.Engine.t ->
-  ?interconnect:Machine.Interconnect.t ->
   ?faults:Faults.Plan.t ->
   ?dsm_batch:bool ->
   ?prefetch:bool ->
@@ -64,7 +61,8 @@ val create :
   machines:Machine.Server.t list ->
   unit ->
   t
-(** Boot one kernel per machine (default interconnect: Dolphin PXH810).
+(** Boot one kernel per machine, joined by the Dolphin PXH810
+    interconnect.
     Without [faults] the ensemble behaves exactly as before this option
     existed — no injector is built and no extra PRNG draws happen.
     [dsm_batch] (default false) coalesces contiguous hDSM page runs into
@@ -92,12 +90,10 @@ val node_of_arch : t -> Isa.Arch.t -> node
 val utilization : t -> int -> float
 (** busy threads / cores, clamped to [\[0,1\]]; 0 when powered off. *)
 
-val node_power : t -> int -> float
-(** Instantaneous system power draw in watts (sleep power when off). *)
-
 val energy : t -> int -> float
 (** Joules consumed by the node from time 0 until now. Exact: power
-    changes only at busy/power transitions, where it is integrated. *)
+    changes only at busy/power transitions, where the node's meter is
+    settled. A powered-down node, crashed or not, draws sleep power. *)
 
 val crash : t -> node:int -> Process.t list
 (** Fail-stop the node at the current simulated time: power it off

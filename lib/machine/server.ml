@@ -51,6 +51,27 @@ let load_watts t =
       Power.system_power t.power
         ~utilization:(float_of_int k /. float_of_int t.cores))
 
+type mode = On | Asleep | Off
+
+(* [acc] is [| joules; settled_at |]: a float array stores its floats
+   flat, so a settle allocates nothing even where no call is inlined. *)
+type meter = { watts : float array; power : Power.model; acc : float array }
+
+let meter t = { watts = load_watts t; power = t.power; acc = [| 0.0; 0.0 |] }
+
+let settle m ~now mode ~load =
+  let draw =
+    match mode with
+    | On -> m.watts.(Int.min load (Array.length m.watts - 1))
+    | Asleep -> m.power.Power.sleep_w
+    | Off -> 0.0
+  in
+  m.acc.(0) <- m.acc.(0) +. ((now -. m.acc.(1)) *. draw);
+  m.acc.(1) <- now
+
+let joules m = m.acc.(0)
+let settled_at m = m.acc.(1)
+
 let peak_mips t cat = float_of_int t.cores *. Isa.Cost_model.mips t.cost cat
 
 let pp ppf t =

@@ -29,8 +29,34 @@ val load_watts : t -> float array
 (** System power at [k] busy threads, for [k = 0 .. cores]. A heavier
     load draws what [cores] threads draw, since utilization saturates at
     the core count: read index [min k cores]. The one table from thread
-    load to watts; [Kernel.Popcorn], [Sched.Cluster] and [Sched.Service]
-    all read it. *)
+    load to watts, which every {!meter} reads. *)
+
+(** {2 Node energy}
+
+    A node's draw changes only with its power mode and thread load, so
+    a meter settled at each change integrates its energy exactly.
+    [Kernel.Popcorn], [Sched.Cluster] and [Sched.Service] keep one per
+    node. *)
+
+type mode =
+  | On  (** draws {!load_watts} at the settled load *)
+  | Asleep  (** draws [power.sleep_w] *)
+  | Off  (** draws nothing *)
+
+type meter
+
+val meter : t -> meter
+(** A meter at 0 J, settled at time 0. *)
+
+val settle : meter -> now:float -> mode -> load:int -> unit
+(** Charge the draw of [mode] at [load] busy threads, which the node
+    has had since the last settle, up to [now]. *)
+
+val joules : meter -> float
+(** Energy charged up to the last settle. *)
+
+val settled_at : meter -> float
+(** Time of the last settle (0 before the first). *)
 
 val peak_mips : t -> Isa.Cost_model.category -> float
 (** All-cores aggregate MIPS for a workload category. *)

@@ -23,6 +23,8 @@ type mix =
   | X86_only
   | Arm_only
 
+let mixes = [ Alternate; Isa_racks; X86_only; Arm_only ]
+
 let mix_name = function
   | Alternate -> "alternate"
   | Isa_racks -> "isa-racks"
@@ -70,57 +72,38 @@ let nodes t = Array.length t.machines
 let server t i = t.machines.(i)
 let rack t i = t.rack_of.(i)
 let racks t = t.racks
-let same_rack t i j = t.rack_of.(i) = t.rack_of.(j)
 
 let isa_count t arch =
   Array.fold_left
     (fun acc (m : Server.t) -> if m.Server.arch = arch then acc + 1 else acc)
     0 t.machines
 
-(* Switch hops a (src, dst) transfer crosses: 0 within a node, the ToR
-   within a rack, ToR -> aggregation -> ToR across racks. *)
-let hops t ~src ~dst =
-  if src = dst then 0 else if same_rack t src dst then 1 else 3
+(* Every path is one of three constants: free within a node, the ToR
+   within a rack, ToR -> aggregation -> ToR across racks, with latency
+   summed per hop and the bottleneck hop's bandwidth. *)
+let self_path = { latency_s = 0.0; bandwidth_bps = Float.infinity }
 
-(* Effective path: latency adds per hop, bandwidth is the bottleneck. *)
+let cross_rack =
+  {
+    latency_s = (2.0 *. local.latency_s) +. aggregation.latency_s;
+    bandwidth_bps = Float.min local.bandwidth_bps aggregation.bandwidth_bps;
+  }
+
 let path t ~src ~dst =
-  if src = dst then { latency_s = 0.0; bandwidth_bps = Float.infinity }
-  else if same_rack t src dst then local
-  else
-    {
-      latency_s = (2.0 *. local.latency_s) +. aggregation.latency_s;
-      bandwidth_bps = Float.min local.bandwidth_bps aggregation.bandwidth_bps;
-    }
+  if src = dst then self_path
+  else if t.rack_of.(src) = t.rack_of.(dst) then local
+  else cross_rack
 
 (* The cluster head (scheduler, job store) sits beside rack 0's ToR:
    reaching a rack-0 node is one local hop, anything else crosses the
    aggregation layer. Cold working sets stream from here. *)
-let head_path t ~dst =
-  if t.rack_of.(dst) = 0 then local
-  else
-    {
-      latency_s = local.latency_s +. aggregation.latency_s
-                  +. local.latency_s;
-      bandwidth_bps = Float.min local.bandwidth_bps aggregation.bandwidth_bps;
-    }
+let head_path t ~dst = if t.rack_of.(dst) = 0 then local else cross_rack
 
 let page_transfer_time t ~src ~dst ~page_bytes =
   Interconnect.page_transfer_time (path t ~src ~dst) ~page_bytes
 
 let batch_transfer_time t ~src ~dst ~pages ~page_bytes =
   Interconnect.batch_transfer_time (path t ~src ~dst) ~pages ~page_bytes
-
-(* Smallest distinct-pair path latency: the floor under every
-   cross-island message delay, i.e. what topology-aware conservative
-   lookahead adds on top of the control epoch. *)
-let min_path_latency t =
-  let some_rack_has_pair =
-    let counts = Array.make t.racks 0 in
-    Array.iter (fun r -> counts.(r) <- counts.(r) + 1) t.rack_of;
-    Array.exists (fun c -> c >= 2) counts
-  in
-  if some_rack_has_pair || t.racks < 2 then local.latency_s
-  else (2.0 *. local.latency_s) +. aggregation.latency_s
 
 let describe t =
   let show l =

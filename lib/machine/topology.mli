@@ -18,6 +18,9 @@ type mix =
   | X86_only
   | Arm_only
 
+val mixes : mix list
+(** Every mix, in declaration order. *)
+
 val mix_name : mix -> string
 val mix_of_name : string -> mix option
 
@@ -45,10 +48,6 @@ val rack : t -> int -> int
 val racks : t -> int
 val isa_count : t -> Isa.Arch.t -> int
 
-val hops : t -> src:int -> dst:int -> int
-(** Switch hops a (src, dst) transfer crosses: 0 within a node, 1
-    within a rack, 3 across racks. *)
-
 val path : t -> src:int -> dst:int -> link
 (** Effective (src, dst) path: per-hop latencies summed, bottleneck
     bandwidth. [src = dst] is a free path (zero latency, infinite
@@ -64,11 +63,6 @@ val page_transfer_time : t -> src:int -> dst:int -> page_bytes:int -> float
 val batch_transfer_time :
   t -> src:int -> dst:int -> pages:int -> page_bytes:int -> float
 (** {!Interconnect.batch_transfer_time} over {!path}. *)
-
-val min_path_latency : t -> float
-(** Smallest distinct-pair path latency: the floor under every
-    cross-island message delay, i.e. what topology-aware conservative
-    lookahead adds on top of the control epoch. *)
 
 val describe : t -> string
 (** One line: ["flat"] for one rack, else ["cluster"]; node, rack and

@@ -1,15 +1,16 @@
+(* The benchmarks jobs are drawn from. *)
 let job_pool =
   let open Workload.Spec in
-  [
+  [|
     (CG, A); (CG, B); (IS, A); (IS, B); (IS, C); (FT, A); (EP, A); (EP, B);
     (MG, A); (MG, B); (BT, A); (SP, A); (Bzip2smp, A); (Bzip2smp, B);
     (Verus, A); (Verus, B); (Verus, C);
-  ]
+  |]
 
 let thread_counts = [| 1; 2; 4 |]
 
 let draw_job rng jid arrival =
-  let bench, cls = Sim.Prng.choice rng (Array.of_list job_pool) in
+  let bench, cls = Sim.Prng.choice rng job_pool in
   let threads = Sim.Prng.choice rng thread_counts in
   Job.make ~jid ~spec:(Workload.Spec.spec bench cls) ~threads ~arrival
 

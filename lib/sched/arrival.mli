@@ -5,9 +5,6 @@
     A/B/C plus bzip2smp and Verus) with 1-4 threads, matching the paper's
     uniform-distribution sets. *)
 
-val job_pool : (Workload.Spec.bench * Workload.Spec.cls) list
-(** The benchmarks jobs are drawn from. *)
-
 val sustained : seed:int -> jobs:int -> Job.t list
 (** A sustained workload: [jobs] jobs all available from t=0; the
     scheduler admits a new one as soon as one finishes (the paper's 10

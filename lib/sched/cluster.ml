@@ -183,9 +183,8 @@ type running = {
 type node_state = {
   node_id : int;
   machine : Machine.Server.t;
+  meter : Machine.Server.meter;
   mutable busy : int;
-  mutable energy_j : float;
-  mutable last_update : float;
   mutable running : running list;
   mutable migrations_out : int;
   mutable steals_in : int;
@@ -218,10 +217,10 @@ let efficiency (m : Machine.Server.t) cat =
   /. Machine.Power.system_power m.Machine.Server.power ~utilization:1.0
 
 (* Per-node power tables, built once per run, so the scheduler's O(N)
-   scans and every node's energy settle read a float instead of
-   evaluating the power model. [watts.(n)] is node [n]'s
-   [Machine.Server.load_watts]: its draw at [k] threads, for [k] up to
-   its core count, where a heavier load draws the same.
+   scans read a float instead of evaluating the power model.
+   [watts.(n)] is node [n]'s [Machine.Server.load_watts]: its draw at
+   [k] threads, for [k] up to its core count, where a heavier load
+   draws the same.
    [eff.(slot c).(n)] is node [n]'s [efficiency] for category [c]. A
    lookup returns the very float the function would, so sums over the
    tables, taken in the same order, round the same. *)
@@ -342,9 +341,8 @@ let run_impl ?(domains = 1) ~capture cfg =
         {
           node_id = i;
           machine = servers.(i);
+          meter = Machine.Server.meter servers.(i);
           busy = 0;
-          energy_j = 0.0;
-          last_update = 0.0;
           running = [];
           migrations_out = 0;
           steals_in = 0;
@@ -353,9 +351,7 @@ let run_impl ?(domains = 1) ~capture cfg =
   in
   (* A node's energy integral, brought up to [now] at its current draw. *)
   let settle ns ~now =
-    let power = watts_at tb ns.node_id ns.busy in
-    ns.energy_j <- ns.energy_j +. ((now -. ns.last_update) *. power);
-    ns.last_update <- now
+    Machine.Server.settle ns.meter ~now Machine.Server.On ~load:ns.busy
   in
   let adjust_busy ns ~now delta =
     settle ns ~now;
@@ -772,12 +768,15 @@ let run_impl ?(domains = 1) ~capture cfg =
   (* Idle-settle every node out to the makespan so energy covers the same
      interval on every node, in node order. *)
   Array.iter
-    (fun ns -> if ns.last_update < makespan then settle ns ~now:makespan)
+    (fun ns ->
+      if Machine.Server.settled_at ns.meter < makespan then
+        settle ns ~now:makespan)
     nodes;
   let energy_of arch =
     Array.fold_left
       (fun acc ns ->
-        if ns.machine.Machine.Server.arch = arch then acc +. ns.energy_j
+        if ns.machine.Machine.Server.arch = arch then
+          acc +. Machine.Server.joules ns.meter
         else acc)
       0.0 nodes
   in

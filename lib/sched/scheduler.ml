@@ -160,22 +160,10 @@ let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
            first rest)
   in
   let spawn_job (job : Job.t) node =
-    let spec = job.Job.spec in
-    let placeholder = List.init job.Job.threads (fun _ -> Seq.empty) in
     let proc =
-      Kernel.Popcorn.spawn pop ~container ~node ~name:spec.Workload.Spec.name
-        ~footprint_bytes:spec.Workload.Spec.footprint_bytes
-        ~thread_phases:placeholder ()
+      Workload.Spec.spawn pop ~container ~node job.Job.spec
+        ~threads:job.Job.threads
     in
-    let phase_lists =
-      Workload.Spec.phases_for_process spec ~threads:job.Job.threads
-        ~quantum_instructions:Workload.Spec.quantum_instructions
-        ~data_pages:proc.Kernel.Process.data_pages
-    in
-    List.iter2
-      (fun (th : Kernel.Process.thread) phases ->
-        th.Kernel.Process.remaining <- phases)
-      proc.Kernel.Process.threads phase_lists;
     node_load.(node) <- node_load.(node) + job.Job.threads;
     running := (proc, job) :: !running;
     job_event "job_start" job [ ("node", Obs.I node) ];
@@ -196,6 +184,9 @@ let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
   in
   (* Energy is reported over [0, makespan]: snapshot when the last job
      completes, before any post-run hysteresis events advance the clock. *)
+  let energies () =
+    Array.init n_nodes (fun id -> Kernel.Popcorn.energy pop id)
+  in
   let final_energy = ref None in
   Kernel.Popcorn.on_process_exit pop (fun proc ->
       incr completed;
@@ -207,9 +198,7 @@ let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
       running := List.filter (fun (p, _) -> p != proc) !running;
       try_admit ();
       update_power ();
-      if !remaining_jobs = 0 then
-        final_energy :=
-          Some (Array.init n_nodes (fun id -> Kernel.Popcorn.energy pop id)));
+      if !remaining_jobs = 0 then final_energy := Some (energies ()));
   (* A rolled-back migration leaves the thread on its source node; move
      its load count back from the destination it never reached. *)
   Kernel.Popcorn.on_migration_abort pop (fun _proc th ~dest ->
@@ -228,8 +217,7 @@ let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
     decr remaining_jobs;
     if !remaining_jobs = 0 then begin
       makespan := Float.max !makespan (Sim.Engine.now engine);
-      final_energy :=
-        Some (Array.init n_nodes (fun id -> Kernel.Popcorn.energy pop id))
+      final_energy := Some (energies ())
     end
   in
   let retry_budget =
@@ -377,9 +365,7 @@ let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
   end;
   Sim.Engine.run engine;
   let energy =
-    match !final_energy with
-    | Some snapshot -> snapshot
-    | None -> Array.init n_nodes (fun id -> Kernel.Popcorn.energy pop id)
+    match !final_energy with Some snapshot -> snapshot | None -> energies ()
   in
   let total_energy = Array.fold_left ( +. ) 0.0 energy in
   let migrations =

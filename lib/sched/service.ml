@@ -163,11 +163,9 @@ let lat_bucket_lo =
 (* --- per-island state -------------------------------------------------- *)
 
 (* All-float record: OCaml stores these fields flat, so the hot path's
-   per-request accumulator stores (energy, clock, latency sum, pause
-   budget) never allocate a float box or hit the GC write barrier. *)
+   per-request accumulator stores (latency sum, pause budget) never
+   allocate a float box or hit the GC write barrier. *)
 type node_floats = {
-  mutable energy_j : float;
-  mutable last_update : float;
   mutable lat_sum_ms : float;
   mutable downtime_s : float;
   mutable inv_ips : float;  (* seconds per instruction, memory-bound *)
@@ -176,11 +174,7 @@ type node_floats = {
 type node_state = {
   node_id : int;
   machine : Machine.Server.t;
-  power_tbl : float array;
-      (* system power at [min busy cores] in-flight requests; sleep and
-         crash are branched separately in [settle]. Precomputed so the
-         twice-per-request settle never re-derives the affine model
-         through a cross-module float call the compiler cannot unbox. *)
+  meter : Machine.Server.meter;
   nf : node_floats;
   mutable crashed : bool;
   mutable busy : int;  (** executing requests, all services *)
@@ -241,29 +235,20 @@ type ctrl_state = {
   mutable router_dropped : int;
   mutable slo_violations : int;
   mutable scale_outs : int;
-  end_time : node_floats;  (* only [last_update] is used: max resolve time *)
+  end_time : float array;  (* one cell: the latest resolve time *)
   mutable exhausted : bool;  (* the arrival stream ran dry *)
 }
 
-(* A node's power state: off when crashed, the low-power state when it
-   hosts nothing (service-free servers sleep — the energy the SLO policy
-   harvests by parking idle services on fewer machines), else the affine
-   utilization model, read from the node's [Machine.Server.load_watts]
-   table indexed by the in-flight count (clamped at the core count,
-   where utilization saturates). *)
+(* A node's power mode: off when crashed, asleep when it hosts nothing
+   and runs nothing (service-free servers sleep — the energy the SLO
+   policy harvests by parking idle services on fewer machines), else on
+   at its in-flight request count. *)
 let settle ns ~now =
-  let nf = ns.nf in
-  let p =
-    if ns.crashed then 0.0
-    else if ns.hosted_count = 0 && ns.busy = 0 then
-      ns.machine.Machine.Server.power.Machine.Power.sleep_w
-    else
-      let cores = ns.machine.Machine.Server.cores in
-      Array.unsafe_get ns.power_tbl
-        (if ns.busy >= cores then cores else ns.busy)
-  in
-  nf.energy_j <- nf.energy_j +. ((now -. nf.last_update) *. p);
-  nf.last_update <- now
+  Machine.Server.settle ns.meter ~now
+    (if ns.crashed then Machine.Server.Off
+     else if ns.hosted_count = 0 && ns.busy = 0 then Machine.Server.Asleep
+     else Machine.Server.On)
+    ~load:ns.busy
 
 (* Per-request demand is a pure function of the request id: no island
    stream is consulted, so routing/migration decisions can reshuffle
@@ -375,11 +360,9 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
         {
           node_id = i;
           machine;
-          power_tbl = Machine.Server.load_watts machine;
+          meter = Machine.Server.meter machine;
           nf =
             {
-              energy_j = 0.0;
-              last_update = 0.0;
               lat_sum_ms = 0.0;
               downtime_s = 0.0;
               inv_ips =
@@ -452,14 +435,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       router_dropped = 0;
       slo_violations = 0;
       scale_outs = 0;
-      end_time =
-        {
-          energy_j = 0.0;
-          last_update = 0.0;
-          lat_sum_ms = 0.0;
-          downtime_s = 0.0;
-          inv_ips = 0.0;
-        };
+      end_time = [| 0.0 |];
       exhausted = false;
     }
   in
@@ -565,9 +541,8 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
 
   (* --- controller-side resolution (island 0 only) ---------------------- *)
   let note_resolved isl =
-    let c = ctrl.end_time in
     let now = Sim.Islands.now isl in
-    if now > c.last_update then c.last_update <- now
+    if now > ctrl.end_time.(0) then ctrl.end_time.(0) <- now
   in
   let dec_outstanding svc node by =
     if node >= 0 then begin
@@ -1269,16 +1244,19 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
   (* --- results (merged in canonical node order) ------------------------ *)
   let makespan =
     Array.fold_left
-      (fun acc ns -> Float.max acc ns.nf.last_update)
-      ctrl.end_time.last_update nodes
+      (fun acc ns -> Float.max acc (Machine.Server.settled_at ns.meter))
+      ctrl.end_time.(0) nodes
   in
   Array.iter
-    (fun ns -> if ns.nf.last_update < makespan then settle ns ~now:makespan)
+    (fun ns ->
+      if Machine.Server.settled_at ns.meter < makespan then
+        settle ns ~now:makespan)
     nodes;
   let energy_of arch =
     Array.fold_left
       (fun acc ns ->
-        if ns.machine.Machine.Server.arch = arch then acc +. ns.nf.energy_j
+        if ns.machine.Machine.Server.arch = arch then
+          acc +. Machine.Server.joules ns.meter
         else acc)
       0.0 nodes
   in

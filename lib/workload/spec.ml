@@ -196,3 +196,20 @@ let phases_for_process t ~threads ~quantum_instructions ~data_pages =
           done
         end);
     ph
+
+(* The threads' phases are set after the loader picks the data pages. *)
+let spawn pop ~container ~node ?binary
+    ?(quantum_instructions = quantum_instructions) t ~threads =
+  let proc =
+    Kernel.Popcorn.spawn pop ~container ~node ~name:t.name ?binary
+      ~footprint_bytes:t.footprint_bytes
+      ~thread_phases:(List.init threads (fun _ -> Seq.empty))
+      ()
+  in
+  List.iter2
+    (fun (th : Kernel.Process.thread) phases ->
+      th.Kernel.Process.remaining <- phases)
+    proc.Kernel.Process.threads
+    (phases_for_process t ~threads ~quantum_instructions
+       ~data_pages:proc.Kernel.Process.data_pages);
+  proc

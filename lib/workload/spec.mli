@@ -71,6 +71,19 @@ val phases_for_process :
     class) share one entry, which holds one closure per thread.
     Thread-safe. *)
 
+val spawn :
+  Kernel.Popcorn.t ->
+  container:Kernel.Container.t ->
+  node:int ->
+  ?binary:Compiler.Toolchain.t ->
+  ?quantum_instructions:float ->
+  t ->
+  threads:int ->
+  Kernel.Process.t
+(** {!Kernel.Popcorn.spawn} a [threads]-thread process of the spec on
+    [node], not yet started, whose threads run {!phases_for_process}
+    over its data pages (default quantum: {!quantum_instructions}). *)
+
 val phase_memo_clear : unit -> unit
 (** Drop every memoized phase expansion and reset the hit/miss counters. *)
 

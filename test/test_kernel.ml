@@ -282,7 +282,8 @@ let sensor_samples_at_rate () =
   checkb "~50 samples at 100 Hz over 0.5 s" true
     (List.length samples >= 50 && List.length samples <= 52);
   checkb "load series too" true (series "load" <> []);
-  let idle_w = pop.Kernel.Popcorn.nodes.(0).Kernel.Popcorn.load_watts.(0) in
+  let machine = pop.Kernel.Popcorn.nodes.(0).Kernel.Popcorn.machine in
+  let idle_w = (Machine.Server.load_watts machine).(0) in
   checkb "idle node draws its zero-load watts" true
     (List.for_all (fun (_, w) -> w = idle_w) (series "system_w"))
 
