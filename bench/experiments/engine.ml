@@ -9,16 +9,12 @@
    count). Host-time throughput is printed on excludable "host time"
    lines; the shape checks themselves are deterministic.
 
-   Part 2 checks {!Sim.Engine.clear}: a pooled engine that has grown to
-   a million-slot heap shrinks back to its default capacity instead of
-   retaining the peak-size arrays.
-
-   Part 3 checks the {!Sim.Calendar} determinism contract: the same
+   Part 2 checks the {!Sim.Calendar} determinism contract: the same
    event set pushed in opposite orders pops in the identical
    (time, seq, src) total order — the property that makes the island
    barrier merge order-invariant.
 
-   Part 4 runs a small {!Sched.Cluster.fleet} scenario sequentially and on two
+   Part 3 runs a small {!Sched.Cluster.fleet} scenario sequentially and on two
    domains and byte-compares the rendered reports — the island
    determinism guarantee, end to end. *)
 
@@ -56,28 +52,9 @@ let part1 ppf =
   Format.fprintf ppf
     "  (%d events in %.2fs of host time, %.2gM events/s host time)@." n_events
     dt
-    (float_of_int n_events /. Float.max dt 1e-9 /. 1e6);
-  e
+    (float_of_int n_events /. Float.max dt 1e-9 /. 1e6)
 
 let part2 ppf =
-  (* Grow a second engine's heap to the full event count, then shrink. *)
-  let e = Sim.Engine.create () in
-  for i = 0 to n_events - 1 do
-    Sim.Engine.schedule e ~at:(float_of_int i) ignore
-  done;
-  let peak = Sim.Engine.capacity e in
-  Sim.Engine.clear e;
-  Shape.check ppf
-    (Printf.sprintf "Engine.clear shrinks the pooled heap (%d -> %d slots)"
-       peak (Sim.Engine.capacity e))
-    (peak >= n_events && Sim.Engine.capacity e <= 64);
-  (* The cleared engine still works. *)
-  let ran = ref 0 in
-  Sim.Engine.schedule e ~at:1.0 (fun () -> incr ran);
-  Sim.Engine.run e;
-  Shape.check ppf "cleared engine still schedules and runs" (!ran = 1)
-
-let part3 ppf =
   let n = 10_000 in
   let keys =
     (* A deterministic mix of ties in time, seq and src. *)
@@ -116,7 +93,7 @@ let part3 ppf =
   walk fwd;
   Shape.check ppf "calendar drains in (time, seq, src) total order" !sorted
 
-let part4 ppf =
+let part3 ppf =
   let cfg = Sched.Cluster.fleet ~nodes:4 ~jobs:12 ~seed:11 in
   let t0 = Sys.time () in
   let seq = Sched.Cluster.run ~domains:1 cfg in
@@ -135,8 +112,7 @@ let part4 ppf =
 
 let run ppf =
   Shape.section ppf
-    "Event core: engine throughput, pooled clear, calendar order, islands";
-  ignore (part1 ppf);
+    "Event core: engine throughput, calendar order, islands";
+  part1 ppf;
   part2 ppf;
-  part3 ppf;
-  part4 ppf
+  part3 ppf

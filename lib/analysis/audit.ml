@@ -16,9 +16,8 @@
        simulation.
 
    The scheduler scenario certifies a repeat run against the first. The
-   repeat runs on warm process-wide memos (phase expansion, transform
-   latency), so a memo that leaks state from one run into the next
-   forks the render.
+   repeat runs on the warm process-wide phase memo, so a memo that
+   leaks state from one run into the next forks the render.
 
    Tasks fan over {!Parallel.Pool} in a fixed order and each task's
    diagnostics depend only on its own runs, so the report is

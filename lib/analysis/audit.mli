@@ -6,7 +6,8 @@
     verifier), {!Island_race} (ownership race detector), and
     {!Determinism_check} (domains=1 vs domains=N certification, plus
     seed/epoch sensitivity probes). The scheduler scenario certifies a
-    repeat run, on warm process-wide memos, against the first. *)
+    repeat run, on the warm process-wide phase memo, against the
+    first. *)
 
 type scenario = Fleet | Cluster | Serve | Scheduler
 

@@ -14,10 +14,10 @@ let rules =
     ("unwind-recursive", D.Info, "the call graph is recursive; chain depth is simulator-capped");
   ]
 
-(* The loader maps a 1 MiB stack (Loader.stack_bytes); the transformation
-   runtime splits it in half — the thread runs on one half while rewritten
-   frames are built in the other (Stack_mem.halves). *)
-let half_stack_bytes = 1024 * 1024 / 2
+(* The transformation runtime splits a thread's stack in half — the
+   thread runs on one half while rewritten frames are built in the other
+   (Stack_mem.halves). *)
+let half_stack_bytes = Runtime.Thread_state.stack_bytes / 2
 
 let slot_width r = if Isa.Register.is_vector r then 16 else 8
 

@@ -3,8 +3,6 @@ type t = {
   padding : (Isa.Arch.t * int) list;
 }
 
-let align_up n a = (n + a - 1) / a * a
-
 let align objs =
   begin
     match objs with
@@ -41,7 +39,7 @@ let align objs =
     match symbols_in sec with
     | [] -> (cursor, placements, bounds)
     | symbols ->
-      let start = align_up cursor Memsys.Page.size in
+      let start = Isa.Abi.align_up cursor Memsys.Page.size in
       let place (cur, acc) (s : Memsys.Symbol.t) =
         let variants = per_isa_size s.name in
         let max_align =
@@ -52,7 +50,7 @@ let align objs =
         let max_size =
           List.fold_left (fun m (_, v) -> max m v.Memsys.Symbol.size) 0 variants
         in
-        let addr = align_up cur max_align in
+        let addr = Isa.Abi.align_up cur max_align in
         (addr + max_size, (s.name, addr, max_size) :: acc)
       in
       let cursor, rev = List.fold_left place (start, []) symbols in

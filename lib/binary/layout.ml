@@ -8,7 +8,6 @@ type t = {
 }
 
 let text_base = 0x40_0000
-let align_up n a = (n + a - 1) / a * a
 
 let natural ~base (obj : Obj.t) =
   let in_section sec =
@@ -18,9 +17,9 @@ let natural ~base (obj : Obj.t) =
     match in_section sec with
     | [] -> (cursor, placed, bounds)
     | symbols ->
-      let start = align_up cursor Memsys.Page.size in
+      let start = Isa.Abi.align_up cursor Memsys.Page.size in
       let place (cur, acc) (s : Memsys.Symbol.t) =
-        let addr = align_up cur s.alignment in
+        let addr = Isa.Abi.align_up cur s.alignment in
         (addr + s.size, { symbol = s; addr; reserved = s.size } :: acc)
       in
       let cursor, rev_placed = List.fold_left place (start, []) symbols in

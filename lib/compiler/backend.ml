@@ -40,8 +40,6 @@ let bytes_per_instr arch fname =
        deterministic per function. *)
     3.3 +. (float_of_int (hash_name fname land 0xFF) /. 256.0)
 
-let align_up n a = (n + a - 1) / a * a
-
 let rec count_defs body =
   List.fold_left
     (fun acc stmt ->
@@ -65,7 +63,7 @@ let code_size arch (func : Ir.Prog.func) =
   let spills = max 0 (locals - allocatable_registers arch) in
   let instrs = prologue + static_instr_estimate func.body + (3 * spills) in
   let bytes = float_of_int instrs *. bytes_per_instr arch func.fname in
-  align_up (int_of_float (Float.ceil bytes)) 16
+  Isa.Abi.align_up (int_of_float (Float.ceil bytes)) 16
 
 (* --- frame layout ----------------------------------------------------- *)
 
@@ -203,15 +201,7 @@ let frame_layout arch (func : Ir.Prog.func) =
     locals_bytes;
   }
 
-let location_indexes : ((string * location) list, string, location) Index.t =
-  Index.create ()
-
-let location_of frame name =
-  let tbl =
-    Index.find location_indexes frame.locations ~build:(fun tbl locations ->
-        List.iter (fun (n, loc) -> Index.add_first tbl n loc) locations)
-  in
-  Hashtbl.find tbl name
+let location_of frame name = List.assoc name frame.locations
 
 let migration_point_cost = function
   | Isa.Arch.Arm64 -> 6

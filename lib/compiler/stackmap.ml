@@ -29,18 +29,10 @@ let generate (func : Ir.Prog.func) (frame : Backend.frame) =
       { fname = func.fname; kind = s.kind; site_id = s.id; live })
     sites
 
-let site_indexes :
-    (entry list, string * Ir.Liveness.site_kind * int, entry) Index.t =
-  Index.create ()
-
 let find entries ~fname ~key:(kind, site_id) =
-  let tbl =
-    Index.find site_indexes entries ~build:(fun tbl entries ->
-        List.iter
-          (fun e -> Index.add_first tbl (e.fname, e.kind, e.site_id) e)
-          entries)
-  in
-  Hashtbl.find_opt tbl (fname, kind, site_id)
+  List.find_opt
+    (fun e -> e.fname = fname && e.kind = kind && e.site_id = site_id)
+    entries
 
 type mismatch =
   | Site_missing of {
@@ -127,7 +119,11 @@ let diff_sites a b =
 let join_sites a b =
   let mismatches = diff_sites a b in
   let by_key = Hashtbl.create (List.length b) in
-  List.iter (fun e -> Index.add_first by_key (entry_key e) e) b;
+  List.iter
+    (fun e ->
+      let k = entry_key e in
+      if not (Hashtbl.mem by_key k) then Hashtbl.add by_key k e)
+    b;
   let pairs =
     List.filter_map
       (fun ea ->

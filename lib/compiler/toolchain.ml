@@ -80,26 +80,10 @@ let for_arch t arch =
   | Some p -> p
   | None -> raise Not_found
 
-let frame_indexes :
-    ((string * Backend.frame) list, string, Backend.frame) Index.t =
-  Index.create ()
-
-let frame_of per_isa name =
-  let tbl =
-    Index.find frame_indexes per_isa.frames ~build:(fun tbl frames ->
-        List.iter (fun (n, f) -> Index.add_first tbl n f) frames)
-  in
-  Hashtbl.find tbl name
-
-let unwind_indexes : (Unwind.rule list, string, Unwind.rule) Index.t =
-  Index.create ()
+let frame_of per_isa name = List.assoc name per_isa.frames
 
 let unwind_of per_isa name =
-  let tbl =
-    Index.find unwind_indexes per_isa.unwind ~build:(fun tbl rules ->
-        List.iter (fun (r : Unwind.rule) -> Index.add_first tbl r.Unwind.fname r) rules)
-  in
-  Hashtbl.find tbl name
+  List.find (fun (r : Unwind.rule) -> r.Unwind.fname = name) per_isa.unwind
 
 let symbol_address t name =
   match Binary.Align.address_of t.aligned name with

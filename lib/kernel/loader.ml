@@ -5,8 +5,6 @@ type image = {
   entry : int;
 }
 
-let stack_base = 0x7F00_0000_0000
-let stack_bytes = 1024 * 1024
 let heap_base = 0x10_0000_0000
 let vdso_base = 0x7FFF_F000_0000
 
@@ -86,11 +84,11 @@ let load tc ~dsm ~node ~slot ~heap_bytes =
     Memsys.Page.range_of_span ~addr:start ~len
   in
   let stack_range =
-    let start = stack_base + (slot * 0x100_0000) in
-    map_region aspace ~start ~len:stack_bytes
-      ~prot:Memsys.Address_space.Read_write ~tag:"[stack]"
-      ~backing:Memsys.Address_space.Anonymous;
-    Memsys.Page.range_of_span ~addr:start ~len:stack_bytes
+    let start = Runtime.Thread_state.stack_base + (slot * 0x100_0000) in
+    let len = Runtime.Thread_state.stack_bytes in
+    map_region aspace ~start ~len ~prot:Memsys.Address_space.Read_write
+      ~tag:"[stack]" ~backing:Memsys.Address_space.Anonymous;
+    Memsys.Page.range_of_span ~addr:start ~len
   in
   let data_pages = section_ranges @ [ heap_range; stack_range ] in
   register_text dsm (text_pages @ vdso_pages);

@@ -45,13 +45,14 @@ let utilization t id =
     Float.min 1.0
       (float_of_int n.busy /. float_of_int n.machine.Machine.Server.cores)
 
+(* An unpowered node, crashed or not, draws sleep power. *)
+let mode n = Machine.Server.(if n.powered then On else Asleep)
+
 (* Power only changes when busy/powered changes, so integrating energy at
-   those transitions is exact. An unpowered node, crashed or not, draws
-   sleep power. *)
+   those transitions is exact. *)
 let settle_energy t id =
   let n = t.nodes.(id) in
-  Machine.Server.settle n.meter ~now:(Sim.Engine.now t.engine)
-    Machine.Server.(if n.powered then On else Asleep)
+  Machine.Server.settle n.meter ~now:(Sim.Engine.now t.engine) (mode n)
     ~load:n.busy
 
 let adjust_busy t id delta =
@@ -667,8 +668,10 @@ let attach_sensors t obs ~hz ~until =
             Obs.counter_sample obs ~ts:now ~pid:n.id ~name
               ~args:[ ("value", Obs.F v) ]
           in
-          record "cpu_w" (Machine.Power.cpu_power power ~utilization:u);
-          record "system_w" (Machine.Power.system_power power ~utilization:u);
+          record "cpu_w"
+            (if n.powered then Machine.Power.cpu_power power ~utilization:u
+             else 0.0);
+          record "system_w" (Machine.Server.draw n.meter (mode n) ~load:n.busy);
           record "load" (u *. 100.0);
           Sim.Engine.schedule_in t.engine ~after:period sample
         end

@@ -189,7 +189,9 @@ val attach_sensors : t -> Obs.t -> hz:float -> until:float -> unit
     does: counter samples on the node's pid, one track each for
     ["cpu_w"] and ["system_w"] (watts) and ["load"] (percent of the
     cores busy, 0 when powered off), with the value under the arg
-    ["value"]. Read a series back with {!Obs.counter_series}. *)
+    ["value"]. A node that is powered off reads 0 on ["cpu_w"] and its
+    sleep draw, what its energy meter charges, on ["system_w"]. Read a
+    series back with {!Obs.counter_series}. *)
 
 val set_powered : t -> int -> bool -> unit
 (** No-op on a crashed node. *)

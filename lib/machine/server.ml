@@ -59,14 +59,15 @@ type meter = { watts : float array; power : Power.model; acc : float array }
 
 let meter t = { watts = load_watts t; power = t.power; acc = [| 0.0; 0.0 |] }
 
+(* Inlined so that [settle] reads the float unboxed. *)
+let[@inline] draw m mode ~load =
+  match mode with
+  | On -> m.watts.(Int.min load (Array.length m.watts - 1))
+  | Asleep -> m.power.Power.sleep_w
+  | Off -> 0.0
+
 let settle m ~now mode ~load =
-  let draw =
-    match mode with
-    | On -> m.watts.(Int.min load (Array.length m.watts - 1))
-    | Asleep -> m.power.Power.sleep_w
-    | Off -> 0.0
-  in
-  m.acc.(0) <- m.acc.(0) +. ((now -. m.acc.(1)) *. draw);
+  m.acc.(0) <- m.acc.(0) +. ((now -. m.acc.(1)) *. draw m mode ~load);
   m.acc.(1) <- now
 
 let joules m = m.acc.(0)

@@ -48,6 +48,9 @@ type meter
 val meter : t -> meter
 (** A meter at 0 J, settled at time 0. *)
 
+val draw : meter -> mode -> load:int -> float
+(** Watts the node draws in [mode] at [load] busy threads. *)
+
 val settle : meter -> now:float -> mode -> load:int -> unit
 (** Charge the draw of [mode] at [load] busy threads, which the node
     has had since the last settle, up to [now]. *)

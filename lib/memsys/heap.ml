@@ -10,8 +10,6 @@ type t = {
   live : (int, int) Hashtbl.t;
 }
 
-let align_up n a = (n + a - 1) / a * a
-
 let create ~base ~bytes =
   if base mod granule <> 0 || bytes mod granule <> 0 then
     invalid_arg "Heap.create: misaligned region";
@@ -22,7 +20,7 @@ let create ~base ~bytes =
 let base t = t.hbase
 
 let malloc t request =
-  let need = header + align_up (max request 1) granule in
+  let need = header + Isa.Abi.align_up (max request 1) granule in
   let rec take acc = function
     | [] -> None
     | (addr, len) :: rest when len >= need ->

@@ -3,8 +3,6 @@ type scheme = Native of Isa.Arch.t | Common_x86
 type slot = { symbol : string; offset : int; size : int }
 type layout = { scheme : scheme; slots : slot list; block_size : int }
 
-let align_up n a = (n + a - 1) / a * a
-
 let tls_symbols symbols =
   List.filter
     (fun s ->
@@ -16,7 +14,7 @@ let tls_symbols symbols =
 (* Variant 1 (ARM64): offsets ascend from TP + 16 (the TCB). *)
 let variant1 symbols =
   let place (cursor, slots) (s : Symbol.t) =
-    let offset = align_up cursor s.alignment in
+    let offset = Isa.Abi.align_up cursor s.alignment in
     (offset + s.size, { symbol = s.name; offset; size = s.size } :: slots)
   in
   let cursor, slots = List.fold_left place (16, []) symbols in
@@ -27,11 +25,11 @@ let variant1 symbols =
    so that it ends at TP. *)
 let variant2 symbols =
   let place (cursor, slots) (s : Symbol.t) =
-    let offset = align_up cursor s.alignment in
+    let offset = Isa.Abi.align_up cursor s.alignment in
     (offset + s.size, { symbol = s.name; offset; size = s.size } :: slots)
   in
   let total, forward = List.fold_left place (0, []) symbols in
-  let block = align_up total 16 in
+  let block = Isa.Abi.align_up total 16 in
   let shifted =
     List.rev_map (fun slot -> { slot with offset = slot.offset - block }) forward
   in

@@ -24,6 +24,8 @@ val stack_base : int
 (** Conventional stack VMA base used for every simulated thread. *)
 
 val stack_bytes : int
+(** Size of every thread's stack VMA; the loader maps each process's
+    stack at this size. *)
 
 val create : Isa.Arch.t -> t
 (** Fresh state: empty upper-half stack, zeroed registers. *)

@@ -803,7 +803,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       ns.hosted_count <- ns.hosted_count - 1;
       ns.draining.(svc) <- false;
       let n = Sim.Ring.length ns.queues.(svc) in
-      Sim.Ring.clear ~shrink_to:0 ns.queues.(svc);
+      Sim.Ring.clear ns.queues.(svc);
       drop ns svc n isl
     end
 
@@ -820,7 +820,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       for s = 0 to services - 1 do
         if ns.hosted.(s) then begin
           lost := !lost + Sim.Ring.length ns.queues.(s) + ns.executing.(s);
-          Sim.Ring.clear ~shrink_to:0 ns.queues.(s);
+          Sim.Ring.clear ns.queues.(s);
           ns.hosted.(s) <- false;
           ns.draining.(s) <- false;
           ns.executing.(s) <- 0

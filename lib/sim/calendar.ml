@@ -179,16 +179,3 @@ let last_time t = t.last_time
 let last_src t = t.last_src
 let last_seq t = t.last_seq
 let order_violations t = t.order_violations
-
-let clear t =
-  if Array.length t.times > initial_capacity then begin
-    t.times <- Array.make initial_capacity 0.0;
-    t.seqs <- Array.make initial_capacity 0;
-    t.srcs <- Array.make initial_capacity 0;
-    t.pays <- Array.make initial_capacity t.dummy
-  end
-  else Array.fill t.pays 0 t.size t.dummy;
-  t.size <- 0;
-  (* A cleared calendar starts a fresh key stream (a cleared engine is
-     reused for an unrelated run); accumulated violations persist. *)
-  t.has_popped <- false

@@ -23,8 +23,7 @@ val size : 'a t -> int
 val is_empty : 'a t -> bool
 
 val capacity : 'a t -> int
-(** Current backing-array size (grows by doubling; shrinks only through
-    {!clear}). *)
+(** Current backing-array size (grows by doubling, never shrinks). *)
 
 val min_time : 'a t -> float
 (** Timestamp of the earliest pending event, or [infinity] if empty. *)
@@ -49,9 +48,4 @@ val last_seq : 'a t -> int
 
 val order_violations : 'a t -> int
 (** With [check_order]: the number of pops whose key did not strictly
-    exceed the previous pop's key since creation. {!clear} restarts the
-    key stream (the next pop is unconstrained) but keeps the count. *)
-
-val clear : 'a t -> unit
-(** Empty the calendar and shrink the backing lanes back to the initial
-    64 slots if they grew beyond them. *)
+    exceed the previous pop's key since creation. *)

@@ -39,12 +39,3 @@ let run_until t limit =
     step t
   done;
   if t.clock < limit then t.clock <- limit
-
-(* Reset for reuse. A pooled engine that once ran a warehouse-scale
-   scenario would otherwise retain its peak-size calendar lanes forever
-   (they only ever double); shrinking here returns the engine to a
-   bounded footprint between runs. *)
-let clear t =
-  Calendar.clear t.cal;
-  t.clock <- 0.0;
-  t.next_seq <- 0

@@ -28,11 +28,5 @@ val pending : t -> int
 (** Number of queued events. *)
 
 val capacity : t -> int
-(** Current size of the backing heap array (grows by doubling, shrinks
-    only through {!clear}). *)
-
-val clear : t -> unit
-(** [clear t] empties the queue and resets the clock and sequence counter
-    so the engine can be reused for a fresh run. The backing heap is
-    shrunk back to its initial 64 slots if it grew beyond them, so a
-    pooled engine does not retain its peak-size arrays across runs. *)
+(** Current size of the backing heap array (grows by doubling, never
+    shrinks). *)

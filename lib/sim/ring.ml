@@ -5,9 +5,8 @@
    property the millions-of-requests serving scenarios depend on.
 
    The two lanes always move together; callers that need only one lane
-   pass a dummy for the other. Capacity grows by doubling and never
-   shrinks implicitly ([clear ?shrink_to] does), mirroring the
-   {!Engine}/{!Calendar} pooling discipline. *)
+   pass a dummy for the other. Capacity grows by doubling and shrinks
+   only when [clear] releases the backing arrays. *)
 
 type t = {
   mutable fs : float array;
@@ -67,14 +66,11 @@ let iter t f =
     f t.fs.(j) t.is.(j)
   done
 
-let clear ?shrink_to t =
+let clear t =
+  t.fs <- [||];
+  t.is <- [||];
   t.head <- 0;
-  t.len <- 0;
-  match shrink_to with
-  | Some cap when cap >= 0 && cap < Array.length t.fs ->
-    t.fs <- Array.make cap 0.0;
-    t.is <- Array.make cap 0
-  | _ -> ()
+  t.len <- 0
 
 (* O(1) handoff of [src]'s whole contents: the new ring takes over
    [src]'s backing arrays, and [src] is left empty with zero capacity,
@@ -83,8 +79,5 @@ let clear ?shrink_to t =
    copied element-wise. *)
 let detach src =
   let d = { fs = src.fs; is = src.is; head = src.head; len = src.len } in
-  src.fs <- [||];
-  src.is <- [||];
-  src.head <- 0;
-  src.len <- 0;
+  clear src;
   d

@@ -4,8 +4,7 @@
     The serving hot path ({!Sched.Service}) keeps its per-service
     request queues here: push/pop are O(1) amortized over preallocated
     arrays, so steady-state traffic allocates nothing. Capacity grows
-    by doubling and only shrinks via {!clear}, mirroring the
-    {!Engine}/{!Calendar} pooling discipline. *)
+    by doubling and only shrinks via {!clear}. *)
 
 type t
 
@@ -32,8 +31,9 @@ val pop : t -> int
 val iter : t -> (float -> int -> unit) -> unit
 (** Oldest-to-newest iteration. *)
 
-val clear : ?shrink_to:int -> t -> unit
-(** Empty the ring; [shrink_to] caps the retained backing capacity. *)
+val clear : t -> unit
+(** Empty the ring and release its backing arrays (capacity 0; the next
+    push grows to 8). *)
 
 val detach : t -> t
 (** [detach src] hands off [src]'s whole contents as a new ring in O(1)

@@ -45,19 +45,6 @@ let calendar_empty () =
     (Invalid_argument "Calendar.pop: empty") (fun () ->
       ignore (Sim.Calendar.pop cal))
 
-let calendar_clear_shrinks () =
-  let cal = Sim.Calendar.create ~dummy:0 () in
-  for i = 0 to 9_999 do
-    Sim.Calendar.push cal ~time:(float_of_int i) ~src:0 ~seq:i i
-  done;
-  let peak = Sim.Calendar.capacity cal in
-  checkb "heap grew" true (peak >= 10_000);
-  Sim.Calendar.clear cal;
-  checkb "capacity shrunk" true (Sim.Calendar.capacity cal < peak);
-  checki "emptied" 0 (Sim.Calendar.size cal);
-  Sim.Calendar.push cal ~time:1.0 ~src:0 ~seq:0 7;
-  checki "still usable" 7 (Sim.Calendar.pop cal)
-
 (* [pop_before] is [pop] guarded by a strict [time < until] test: it
    answers [dummy] (physically) on an empty calendar and on a head at
    or after [until], popping nothing, and otherwise pops exactly what
@@ -140,24 +127,6 @@ let qcheck_calendar_pop_before =
         List.rev !out
       in
       by_pop = by_window)
-
-(* --- Engine.clear ------------------------------------------------------ *)
-
-let engine_clear_shrinks () =
-  let e = Sim.Engine.create () in
-  for i = 0 to 9_999 do
-    Sim.Engine.schedule e ~at:(float_of_int i) ignore
-  done;
-  let peak = Sim.Engine.capacity e in
-  checkb "heap grew" true (peak >= 10_000);
-  Sim.Engine.clear e;
-  checki "back to the initial 64 slots" 64 (Sim.Engine.capacity e);
-  checki "no pending events" 0 (Sim.Engine.pending e);
-  checkb "clock reset" true (Sim.Engine.now e = 0.0);
-  let ran = ref false in
-  Sim.Engine.schedule e ~at:2.0 (fun () -> ran := true);
-  Sim.Engine.run e;
-  checkb "still usable" true !ran
 
 (* --- Islands: windows and the lookahead contract ----------------------- *)
 
@@ -742,8 +711,6 @@ let suite =
   [
     Alcotest.test_case "calendar: pop order" `Quick calendar_pop_order;
     Alcotest.test_case "calendar: empty" `Quick calendar_empty;
-    Alcotest.test_case "calendar: clear shrinks" `Quick calendar_clear_shrinks;
-    Alcotest.test_case "engine: clear shrinks" `Quick engine_clear_shrinks;
     Alcotest.test_case "islands: validation" `Quick islands_validation;
     Alcotest.test_case "islands: window boundary tie-break" `Quick
       islands_window_boundary;

@@ -287,6 +287,27 @@ let sensor_samples_at_rate () =
   checkb "idle node draws its zero-load watts" true
     (List.for_all (fun (_, w) -> w = idle_w) (series "system_w"))
 
+(* An unpowered node reads what its meter charges: sleep power on the
+   system track, nothing on the CPU track. *)
+let sensors_read_sleep_draw () =
+  let engine = Sim.Engine.create () in
+  let machine = Machine.Server.xeon_e5_1650_v2 in
+  let pop = Kernel.Popcorn.create engine ~machines:[ machine ] () in
+  Kernel.Popcorn.set_powered pop 0 false;
+  let obs = Obs.create () in
+  Kernel.Popcorn.attach_sensors pop obs ~hz:10.0 ~until:1.0;
+  Sim.Engine.run engine;
+  let series name = Obs.counter_series obs ~pid:0 ~name ~arg:"value" in
+  let sleep_w = machine.Machine.Server.power.Machine.Power.sleep_w in
+  checki "11 system_w samples at 10 Hz over 1 s" 11
+    (List.length (series "system_w"));
+  checkb "system_w reads the sleep draw" true
+    (List.for_all (fun (_, w) -> w = sleep_w) (series "system_w"));
+  checkb "cpu_w reads 0" true
+    (List.for_all (fun (_, w) -> w = 0.0) (series "cpu_w"));
+  checkb "energy is the sleep draw over the run" true
+    (Kernel.Popcorn.energy pop 0 = sleep_w *. Sim.Engine.now engine)
+
 let container_spans_during_migration () =
   let engine, pop = make_pop () in
   let c = Kernel.Popcorn.new_container pop ~name:"c" in
@@ -572,4 +593,6 @@ let suite =
     ("latency cache keyed structurally", `Quick, latency_cache_structural_hits);
     ("latency cache bounded with FIFO eviction", `Quick, latency_cache_bounded);
     ("sensor samples at 100 Hz", `Quick, sensor_samples_at_rate);
+    ("sensors read an unpowered node's sleep draw", `Quick,
+     sensors_read_sleep_draw);
   ]

@@ -143,9 +143,12 @@ let ring_clear_shrinks () =
   let r = Sim.Ring.create ~capacity:4 () in
   for i = 0 to 999 do Sim.Ring.push r 0.0 i done;
   checkb "grew" true (Sim.Ring.capacity r >= 1000);
-  Sim.Ring.clear ~shrink_to:8 r;
+  Sim.Ring.clear r;
   checkb "cleared" true (Sim.Ring.is_empty r);
-  checkb "shrunk" true (Sim.Ring.capacity r <= 8)
+  check Alcotest.int "released its backing arrays" 0 (Sim.Ring.capacity r);
+  Sim.Ring.push r 7.0 7;
+  checkf "still usable: float lane" 7.0 (Sim.Ring.peek_f r);
+  check Alcotest.int "still usable: int lane" 7 (Sim.Ring.pop r)
 
 (* --- Window_hist -------------------------------------------------------- *)
 
