@@ -76,11 +76,11 @@ let run ppf =
   let big = Sched.Service.run ~domains:1 big_cfg in
   let streamed_s = Sys.time () -. t0 in
   let streamed_top_mb = top_heap_mb () in
-  Format.fprintf ppf
-    "  streamed    %8d requests in %6.2fs  (%9.0f req/s, p99 %.2fms)@."
+  Format.fprintf ppf "  streamed    %8d requests, p99 %.2fms@."
+    big.Sched.Service.arrived big.Sched.Service.p99_ms;
+  Format.fprintf ppf "  (%d requests in %.2fs of host time, %.0f req/s host time)@."
     big.Sched.Service.arrived streamed_s
-    (float_of_int big.Sched.Service.arrived /. streamed_s)
-    big.Sched.Service.p99_ms;
+    (float_of_int big.Sched.Service.arrived /. streamed_s);
   Shape.check ppf "acceptance scenario serves >= 1,000,000 requests"
     (big.Sched.Service.arrived >= 1_000_000);
   Shape.check ppf "acceptance scenario conserves every request"

@@ -281,33 +281,50 @@ let rec seg_gen_next g =
       seg_gen_next g
     | None -> Float.infinity
 
-(* k-way merge of per-service generators on (at, svc). Candidate slots
-   hold each service's next undelivered arrival ([infinity] once a
-   service's horizon is exhausted — finite-duration generators can
-   never produce it); a pull takes the minimum and refills that slot.
-   The scan is O(services) per request with zero allocation, and the
-   strict [<] picks the lowest service id on exact-time ties, matching
-   [finalize]'s (at, svc, draw-order) sort. *)
+(* k-way merge of per-service generators on (at, svc), through a
+   winner tree. Candidate slots hold each service's next undelivered
+   arrival ([infinity] once a service's horizon is exhausted —
+   finite-duration generators can never produce it — and for the
+   padding leaves up to the next power of two [p]). Node [k] of the
+   tree holds the service that wins its subtree: leaves are nodes
+   [p + i], children of [k] are [2k] and [2k + 1], the root is node 1.
+   A pull takes the root's service, refills its slot and replays the
+   matches on its leaf-to-root path, so it costs O(log services) with
+   zero allocation. A match goes to the earlier arrival, and on an
+   exact-time tie to the left subtree, whose services are lower: the
+   lowest service id wins, matching [finalize]'s (at, svc, draw-order)
+   sort. *)
 let merged_stream ~sname ~services gens =
-  let cand = Array.make services Float.infinity in
-  let refill i = cand.(i) <- seg_gen_next gens.(i) in
-  for i = 0 to services - 1 do
-    refill i
+  let p =
+    let rec up p = if p >= services then p else up (2 * p) in
+    up 1
+  in
+  let cand = Array.make p Float.infinity in
+  let win = Array.make (2 * p) 0 in
+  let[@inline] play k =
+    let l = win.(2 * k) and r = win.((2 * k) + 1) in
+    win.(k) <- (if cand.(r) < cand.(l) then r else l)
+  in
+  for i = 0 to p - 1 do
+    if i < services then cand.(i) <- seg_gen_next gens.(i);
+    win.(p + i) <- i
+  done;
+  for k = p - 1 downto 1 do
+    play k
   done;
   let pull s =
-    let best = ref (-1) in
-    let best_at = ref Float.infinity in
-    for i = 0 to services - 1 do
-      if cand.(i) < !best_at then begin
-        best := i;
-        best_at := cand.(i)
-      end
-    done;
-    if !best < 0 then false
+    let best = win.(1) in
+    let best_at = cand.(best) in
+    if best_at = Float.infinity then false
     else begin
-      s.cur_at <- !best_at;
-      s.cur_svc <- !best;
-      refill !best;
+      s.cur_at <- best_at;
+      s.cur_svc <- best;
+      cand.(best) <- seg_gen_next gens.(best);
+      let k = ref ((p + best) / 2) in
+      while !k >= 1 do
+        play !k;
+        k := !k / 2
+      done;
       true
     end
   in

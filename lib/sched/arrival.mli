@@ -73,7 +73,8 @@ val diurnal :
     A {!stream} is a one-shot cursor over a request sequence in
     canonical (at, svc) order with densely increasing rids. Nothing is
     materialized: generator streams hold one incremental MMPP/diurnal
-    state machine per service (k-way merged on the fly), file streams
+    state machine per service (k-way merged on the fly through a
+    winner tree, O(log services) per pull), file streams
     read one line per pull — so memory is independent of trace length,
     which is what lets one serving run push millions of requests.
 

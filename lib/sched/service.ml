@@ -516,7 +516,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
         let ob = ctrl.outstanding.(svc).(b) in
         if oa < ob then a
         else if ob < oa then b
-        else min a b
+        else Int.min a b
     end
   in
   (* Install the initial placement at t=0, before any event runs. *)

@@ -1,22 +1,35 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state is 8 bytes read and written with the unboxed
+   int64 primitives: a draw keeps every Int64 intermediate in a
+   register, allocates nothing, and stores the state without a write
+   barrier (an [int64] record field would box on every store). *)
+type t = Bytes.t
+
+let[@inline] get t = Bytes.get_int64_ne t 0
+let[@inline] set t s = Bytes.set_int64_ne t 0 s
+
+let of_state s =
+  let t = Bytes.create 8 in
+  set t s;
+  t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
+let create seed = of_state (mix (Int64.of_int seed))
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (get t) golden_gamma in
+  set t s;
+  mix s
 
-let split t = { state = next_int64 t }
-let copy t = { state = t.state }
+let split t = of_state (next_int64 t)
+let copy = Bytes.copy
 
-let fingerprint t = t.state
+let fingerprint = get
 
 (* golden_gamma is odd, so it is invertible mod 2^64; Newton iteration
    on the 2-adic inverse (x <- x * (2 - a*x)) doubles the valid bit
@@ -42,9 +55,10 @@ let int_in t lo hi =
   lo + int t (hi - lo + 1)
 
 (* 53-bit mantissa from the top bits, uniform in [0, 1). *)
-let unit_float t =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+let[@inline] to_unit n =
+  Int64.to_float (Int64.shift_right_logical n 11) *. (1.0 /. 9007199254740992.0)
+
+let[@inline] unit_float t = to_unit (next_int64 t)
 
 let float t bound = unit_float t *. bound
 let float_in t lo hi = lo +. (unit_float t *. (hi -. lo))
@@ -59,60 +73,30 @@ let gaussian t ~mean ~stddev =
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
   mean +. (stddev *. z)
 
-(* Fused in one straight-line body (same draw sequence as
-   [-.mean *. log (unit_float t)] with the rejection loop): every Int64
-   intermediate stays let-bound and unboxed, so a draw costs one boxed
-   state store instead of four boxes across the mix/unit_float call
-   boundaries. Arrival generators draw one of these per request. *)
+(* Exponential deviate by inversion, with the same rejection loop as
+   [gaussian]. Arrival generators draw one of these per request. *)
 let rec exponential t ~mean =
-  let s = Int64.add t.state golden_gamma in
-  t.state <- s;
-  let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  let n = Int64.(logxor z (shift_right_logical z 31)) in
-  let u =
-    Int64.to_float (Int64.shift_right_logical n 11)
-    *. (1.0 /. 9007199254740992.0)
-  in
+  let u = unit_float t in
   if u <= 1e-300 then exponential t ~mean else -.mean *. log u
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~stddev:sigma)
 
 (* One-shot lognormal draw from a seed, bit-identical to
-   [lognormal (create seed) ~mu ~sigma] but with every Int64
-   intermediate let-bound in one straight-line body, so the compiler
-   keeps them unboxed (no [t.state] stores, no per-draw allocation).
-   This is the serving hot path's per-request demand draw: at millions
-   of requests the boxed-splitmix version dominates the profile. The
-   astronomically cold Box-Muller rejection branch (u1 <= 1e-300)
-   replays the same draw sequence through the record-based drawer. *)
+   [lognormal (create seed) ~mu ~sigma] but with the state in local
+   lets instead of a generator, so nothing is allocated. This is the
+   serving hot path's per-request demand draw. The astronomically cold
+   Box-Muller rejection branch (u1 <= 1e-300) replays the same draw
+   sequence through a generator. *)
 let lognormal_of_seed seed ~mu ~sigma =
-  let z = Int64.of_int seed in
-  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  let s0 = Int64.(logxor z (shift_right_logical z 31)) in
-  let s1 = Int64.add s0 golden_gamma in
-  let z = Int64.(mul (logxor s1 (shift_right_logical s1 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  let n1 = Int64.(logxor z (shift_right_logical z 31)) in
-  let u1 =
-    Int64.to_float (Int64.shift_right_logical n1 11)
-    *. (1.0 /. 9007199254740992.0)
-  in
+  let s1 = Int64.add (mix (Int64.of_int seed)) golden_gamma in
+  let u1 = to_unit (mix s1) in
   if u1 <= 1e-300 then begin
     let t = create seed in
     let _ = unit_float t in
     exp (gaussian t ~mean:mu ~stddev:sigma)
   end
   else begin
-    let s2 = Int64.add s1 golden_gamma in
-    let z = Int64.(mul (logxor s2 (shift_right_logical s2 30)) 0xBF58476D1CE4E5B9L) in
-    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-    let n2 = Int64.(logxor z (shift_right_logical z 31)) in
-    let u2 =
-      Int64.to_float (Int64.shift_right_logical n2 11)
-      *. (1.0 /. 9007199254740992.0)
-    in
+    let u2 = to_unit (mix (Int64.add s1 golden_gamma)) in
     let g = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
     exp (mu +. (sigma *. g))
   end

@@ -1,7 +1,10 @@
 (** Deterministic pseudo-random number generation (splitmix64).
 
     All randomness in the simulator flows through explicitly seeded [Prng.t]
-    values so that every experiment is reproducible bit-for-bit. *)
+    values so that every experiment is reproducible bit-for-bit. A
+    generator is 8 bytes of splitmix64 state, read and written unboxed,
+    so a draw advances it without allocating; only a result returned
+    through a call that is not inlined is boxed. *)
 
 type t
 

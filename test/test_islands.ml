@@ -128,6 +128,121 @@ let qcheck_calendar_pop_before =
       in
       by_pop = by_window)
 
+(* QCheck: random interleaved pushes and pops against a sorted-list
+   model. Operations come in phases of 300: in even phases seven in
+   eight are pushes, in odd phases seven in eight are pops. So the live
+   count climbs past the 64-slot growth and the 128-slot one, falls
+   back below 64, and climbs again on reused slots. Times and seqs come
+   from small ranges, so keys often tie on both and only [src] (the
+   push index, which keeps every key unique) orders them. Each pop must
+   return the model's minimum key with the very payload pushed under
+   it, and the calendar's size must follow the model's. *)
+let qcheck_calendar_model =
+  QCheck.Test.make ~name:"calendar: interleaved push/pop matches a sorted list"
+    ~count:50
+    QCheck.(
+      list_of_size Gen.(600 -- 1200)
+        (triple (int_bound 7) (int_bound 12) (int_bound 3)))
+    (fun ops ->
+      let cal = Sim.Calendar.create ~dummy:(ref (-1)) () in
+      let model = ref [] in
+      let pushes = ref 0 and peak = ref 0 in
+      let pop_one () =
+        match !model with
+        | [] -> true
+        | (key, payload) :: rest ->
+          model := rest;
+          let v = Sim.Calendar.pop cal in
+          v == payload
+          && ( Sim.Calendar.last_time cal,
+               Sim.Calendar.last_seq cal,
+               Sim.Calendar.last_src cal )
+             = key
+      in
+      let push t seq =
+        let time = float_of_int t /. 2.0 and src = !pushes in
+        let payload = ref src in
+        incr pushes;
+        Sim.Calendar.push cal ~time ~src ~seq payload;
+        model :=
+          List.merge
+            (fun (a, _) (b, _) -> compare a b)
+            !model
+            [ ((time, seq, src), payload) ]
+      in
+      let ok =
+        List.for_all
+          (fun (i, (op, t, seq)) ->
+            let ok =
+              if (op = 0) = (i / 300 mod 2 = 0) then pop_one ()
+              else begin
+                push t seq;
+                true
+              end
+            in
+            peak := max !peak (Sim.Calendar.size cal);
+            ok && Sim.Calendar.size cal = List.length !model)
+          (List.mapi (fun i op -> (i, op)) ops)
+      in
+      let rec drain () = !model = [] || (pop_one () && drain ()) in
+      ok && drain () && Sim.Calendar.is_empty cal && !peak > 128)
+
+(* A popped payload is not retained: the calendar resets the slot it
+   frees to [dummy], so once the caller drops a popped value the GC
+   reclaims it, while the payloads still pending stay reachable. *)
+let calendar_releases_popped () =
+  let n = 100 and popped = 10 in
+  let cal = Sim.Calendar.create ~dummy:(ref (-1)) () in
+  let watch = Weak.create n in
+  let[@inline never] fill () =
+    for i = 0 to n - 1 do
+      let r = ref i in
+      Weak.set watch i (Some r);
+      Sim.Calendar.push cal ~time:(float_of_int (n - i)) ~src:0 ~seq:i r
+    done
+  in
+  let[@inline never] pop_some k =
+    for _ = 1 to k do
+      ignore (Sim.Calendar.pop cal)
+    done
+  in
+  fill ();
+  pop_some popped;
+  Gc.full_major ();
+  (* Pushed at times n - i, so the ten pops took ids n - 10 .. n - 1. *)
+  for i = 0 to n - 1 do
+    checkb (Printf.sprintf "payload %d kept iff pending" i) (i < n - popped)
+      (Weak.check watch i)
+  done;
+  pop_some (n - popped);
+  Gc.full_major ();
+  checkb "drained: nothing retained" false
+    (List.exists (Weak.check watch) (List.init n Fun.id))
+
+(* [src] shares a lane with the slot id, so a push accepts any src that
+   fits in 32 signed bits, orders the extremes as ints and reads each
+   back unchanged, and rejects one that does not fit. *)
+let calendar_src_range () =
+  let cal = Sim.Calendar.create ~dummy:0 () in
+  let lo = -(1 lsl 31) and hi = (1 lsl 31) - 1 in
+  List.iter
+    (fun src -> Sim.Calendar.push cal ~time:1.0 ~src ~seq:0 src)
+    [ hi; 0; lo; -1 ];
+  let srcs =
+    List.init 4 (fun _ ->
+        let v = Sim.Calendar.pop cal in
+        checki "payload follows its src" (Sim.Calendar.last_src cal) v;
+        v)
+  in
+  check Alcotest.(list int) "src order" [ lo; -1; 0; hi ] srcs;
+  List.iter
+    (fun src ->
+      Alcotest.check_raises "src outside 32 signed bits"
+        (Invalid_argument "Calendar.push: src outside 32 signed bits")
+        (fun () -> Sim.Calendar.push cal ~time:1.0 ~src ~seq:0 0))
+    [ hi + 1; lo - 1 ];
+  checkb "rejected pushes left it empty" true (Sim.Calendar.is_empty cal)
+
 (* --- Islands: windows and the lookahead contract ----------------------- *)
 
 let islands_validation () =
@@ -744,4 +859,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_islands_thin_windows;
     Alcotest.test_case "islands: set-up events on idle islands" `Quick
       islands_setup_events;
+    QCheck_alcotest.to_alcotest qcheck_calendar_model;
+    Alcotest.test_case "calendar: popped payload not retained" `Quick
+      calendar_releases_popped;
+    Alcotest.test_case "calendar: src range" `Quick calendar_src_range;
   ]

@@ -85,7 +85,10 @@ let qcheck_stream_equiv =
     QCheck.(int_bound 100_000)
     (fun raw ->
       let seed = raw mod 211 in
-      let services = 1 + (raw mod 5) in
+      (* 1-40 services: counts that are not powers of two and counts
+         above 32 cross the merge's padded tree. [raw / 2] keeps the
+         count independent of the bursty/diurnal choice below. *)
+      let services = 1 + (raw / 2 mod 40) in
       let trace, source =
         if raw mod 2 = 0 then
           ( Sched.Arrival.bursty ~seed ~services ~duration_s:20.0 (),

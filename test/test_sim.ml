@@ -72,10 +72,50 @@ let prng_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "still a permutation" (Array.init 50 Fun.id) sorted
 
-(* The hot-path fused draws must replay the exact record-based draw
-   sequences they replace: [lognormal_of_seed] against a fresh
-   generator, and the straight-line [exponential] against its defining
-   formula. *)
+(* Draws pinned to the values a build with the boxed [int64] state
+   printed, so a change of the state's representation cannot move a
+   stream: raw draws of a seed and of a [split] child, [int] and
+   [exponential] draws, and fingerprints around a [copy]. *)
+let prng_pinned_draws () =
+  let i64 = Alcotest.check Alcotest.int64 in
+  let a = Sim.Prng.create 42 in
+  List.iter
+    (fun v -> i64 "create 42" v (Sim.Prng.next_int64 a))
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ];
+  let p = Sim.Prng.create 42 in
+  let c = Sim.Prng.split p in
+  List.iter
+    (fun v -> i64 "split child" v (Sim.Prng.next_int64 c))
+    [ 6168158941143839527L; -3019913106490840865L ];
+  i64 "parent after split" 2958219263312191191L (Sim.Prng.next_int64 p);
+  let r = Sim.Prng.create 7 in
+  List.iter
+    (fun (bound, v) -> check Alcotest.int "int" v (Sim.Prng.int r bound))
+    [ (1000, 963); (1000, 181); (17, 8) ];
+  let e = Sim.Prng.create 11 in
+  List.iter
+    (fun (mean, v) ->
+      checkb "exponential" true (Sim.Prng.exponential e ~mean = v))
+    [ (3.0, 0x1.3707b09ca2f29p+3); (0.5, 0x1.545c462fd9b04p-2) ];
+  let g = Sim.Prng.create 99 in
+  ignore (Sim.Prng.next_int64 g);
+  let before = Sim.Prng.fingerprint g in
+  i64 "fingerprint" 1731026589238705310L before;
+  let h = Sim.Prng.copy g in
+  i64 "copy keeps the fingerprint" before (Sim.Prng.fingerprint h);
+  for _ = 1 to 5 do
+    ignore (Sim.Prng.next_int64 h)
+  done;
+  ignore (Sim.Prng.split h);
+  let after = Sim.Prng.fingerprint h in
+  i64 "fingerprint after six advances" (-3651660789660310244L) after;
+  check Alcotest.int "draws_between" 6
+    (Sim.Prng.draws_between ~before ~after);
+  i64 "the original did not advance" before (Sim.Prng.fingerprint g)
+
+(* The allocation-free draws must replay the generator's draw
+   sequences: [lognormal_of_seed] against a fresh generator, and
+   [exponential] against its defining formula. *)
 let prng_lognormal_of_seed_equiv =
   QCheck.Test.make ~name:"Prng.lognormal_of_seed = lognormal . create"
     ~count:500
@@ -501,4 +541,5 @@ let suite =
     ("stats numeric sort order", `Quick, stats_sorts_with_float_compare);
     ("log histogram rejects negatives", `Quick, stats_log_histogram_rejects);
     ("percentile edge cases", `Quick, percentile_edge_cases);
+    ("prng draws pinned", `Quick, prng_pinned_draws);
   ]
