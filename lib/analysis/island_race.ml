@@ -1,21 +1,11 @@
-(* Island race detector: vector-clock happens-before checking over the
-   ownership touches of a captured time-island execution.
+(* Island ownership check over a captured time-island execution.
 
-   The runtime's only legal synchronization is the window barrier —
-   a post's delivery always lands in a strictly later window (delay >=
-   lookahead >= window span), so the barrier between the windows
-   subsumes every legal delivery edge. The touch log therefore maps to
-   a {!Race} log with one unit per island, one [Access] per ownership
-   touch, and a [Barrier] between consecutive windows; any two
-   same-window touches of one resource from different islands are
-   unordered, and at least one being a write makes them a race.
-
-   A model that only ever touches island-owned state can never race:
-   every resource has exactly one toucher per window. A non-owner touch
-   (service or fleet code reaching across the island boundary) shows up
-   as soon as the owner — or any other island — touches the same
-   resource in the same window, which is exactly the
-   "non-owner touch without a happens-before edge" contract breach. *)
+   §7b requires every action to touch only its own island's state;
+   cross-island causality flows through posts alone. Each ownership
+   touch names the island that owns the touched state, so the contract
+   is checked touch by touch: a touch whose owner is not the island
+   executing the event is a breach, whatever window it falls in and
+   whether or not any other island touches the same state. *)
 
 module D = Diagnostic
 module I = Sim.Islands
@@ -24,79 +14,31 @@ let rules =
   [
     ( "island-race",
       D.Error,
-      "two islands touched the same owned resource without a \
-       happens-before edge" );
+      "an event touched state owned by another island" );
   ]
 
 let check ~label (cap : I.capture) =
-  (* Canonical global order: window-major, then the (time, seq, src)
-     key. Within a window the order is immaterial to the verdict (no
-     intra-window HB edges exist), but a deterministic log keeps the
-     report byte-stable across domain counts. *)
-  let execs =
-    Array.fold_left (fun acc l -> List.rev_append l acc) [] cap.I.c_execs
-  in
-  let execs =
-    List.sort
-      (fun (a : I.exec_rec) (b : I.exec_rec) ->
-        match compare a.I.x_window b.I.x_window with
-        | 0 -> begin
-          match Float.compare a.I.x_time b.I.x_time with
-          | 0 -> begin
-            match compare a.I.x_seq b.I.x_seq with
-            | 0 -> compare a.I.x_src b.I.x_src
-            | c -> c
-          end
-          | c -> c
-        end
-        | c -> c)
-      execs
-  in
-  (* Owner map and per-log-index context for rendering the verdicts. *)
-  let owner_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let ctx = ref [] in
-  let events = ref [] in
-  let cur_window = ref min_int in
-  List.iter
-    (fun (x : I.exec_rec) ->
-      if !cur_window <> min_int && x.I.x_window <> !cur_window then begin
-        events := Race.Barrier :: !events;
-        ctx := (-1, -1) :: !ctx
-      end;
-      cur_window := x.I.x_window;
-      List.iter
-        (fun (t : I.touch_rec) ->
-          if not (Hashtbl.mem owner_of t.I.t_resource) then
-            Hashtbl.add owner_of t.I.t_resource t.I.t_owner;
-          events :=
-            Race.Access
-              { unit_ = x.I.x_isl; page = t.I.t_resource; write = t.I.t_write }
-            :: !events;
-          ctx := (x.I.x_isl, x.I.x_window) :: !ctx)
-        x.I.x_touches)
-    execs;
-  let events = List.rev !events in
-  let ctx = Array.of_list (List.rev !ctx) in
-  let races = Race.detect ~units:cap.I.c_islands events in
-  List.map
-    (fun (r : Race.race) ->
-      let owner =
-        match Hashtbl.find_opt owner_of r.Race.page with
-        | Some o -> o
-        | None -> -1
-      in
-      let win idx =
-        if idx >= 0 && idx < Array.length ctx then snd ctx.(idx) else -1
-      in
-      D.make ~rule:"island-race" ~severity:D.Error ~prog:label
-        ~func:(Printf.sprintf "resource-%d" r.Race.page)
-        ~site:(Printf.sprintf "w%d" (win r.Race.second_index))
-        (Printf.sprintf
-           "resource %d (owner island %d): %s by island %d (window %d) races \
-            with %s by island %d (window %d)"
-           r.Race.page owner
-           (if r.Race.first_write then "write" else "read")
-           r.Race.first_unit (win r.Race.first_index)
-           (if r.Race.second_write then "write" else "read")
-           r.Race.second_unit (win r.Race.second_index)))
-    races
+  (* Island order, then execution order; one diagnostic per (executing
+     island, owner) pair keeps a systematic breach readable. *)
+  let flagged = Hashtbl.create 8 in
+  let diags = ref [] in
+  Array.iter
+    (List.iter (fun (x : I.exec_rec) ->
+         List.iter
+           (fun owner ->
+             let isl = x.I.x_isl in
+             if owner <> isl && not (Hashtbl.mem flagged (isl, owner)) then begin
+               Hashtbl.add flagged (isl, owner) ();
+               diags :=
+                 D.make ~rule:"island-race" ~severity:D.Error ~prog:label
+                   ~func:(Printf.sprintf "island-%d" isl)
+                   ~site:(Printf.sprintf "w%d" x.I.x_window)
+                   (Printf.sprintf
+                      "event (%g, %d, %d) on island %d touched state owned by \
+                       island %d"
+                      x.I.x_time x.I.x_seq x.I.x_src isl owner)
+                 :: !diags
+             end)
+           x.I.x_touches))
+    cap.I.c_execs;
+  List.rev !diags

@@ -1,18 +1,16 @@
-(** Island race detector over captured time-island executions.
+(** Island ownership check over captured time-island executions.
 
-    Generalizes {!Race}'s vector-clock happens-before checking from
-    two-unit hDSM logs to N islands: every ownership touch recorded by
-    {!Sim.Islands.touch} becomes an [Access] by its executing island,
-    and the window barriers become [Barrier] joins — the runtime's only
-    legal synchronization, since every post delivers in a strictly
-    later window. Two same-window touches of one resource from
-    different islands, at least one a write, are a race: the signature
-    of model code reaching across the island ownership boundary. *)
+    Every ownership touch recorded by {!Sim.Islands.touch} names the
+    island that owns the touched state. A touch whose owner is not the
+    island executing the event breaks the §7b contract — model code
+    reaching across the island boundary — and is reported whatever
+    window it falls in. *)
 
 val rules : (string * Diagnostic.severity * string) list
 (** [(id, severity, summary)] for every rule this pass can emit. *)
 
 val check : label:string -> Sim.Islands.capture -> Diagnostic.t list
-(** Detect races in one captured execution; [label] becomes the
-    diagnostics' [prog]. At most one race is reported per resource
-    (the {!Race} detector's per-page cap). *)
+(** Report the non-owner touches of one captured execution; [label]
+    becomes the diagnostics' [prog]. At most one diagnostic per
+    (executing island, owner) pair, in island order and then execution
+    order. *)

@@ -1,7 +1,6 @@
 type event =
   | Access of { unit_ : int; page : int; write : bool }
   | Sync of { src : int; dst : int }
-  | Barrier
 
 type race = {
   page : int;
@@ -84,22 +83,6 @@ let detect ~units events =
               if s.(i) > d.(i) then d.(i) <- s.(i)
             done
           end
-      | Barrier ->
-          (* All-to-all join: tick every unit, then give each the
-             elementwise max of all clocks — everything before the
-             barrier happens before everything after it. *)
-          let m = Array.make units 0 in
-          Array.iter
-            (fun c ->
-              for i = 0 to units - 1 do
-                if c.(i) > m.(i) then m.(i) <- c.(i)
-              done)
-            vc;
-          Array.iteri
-            (fun u c ->
-              Array.blit m 0 c 0 units;
-              c.(u) <- c.(u) + 1)
-            vc
       | Access { unit_ = u; page; write } ->
           check u;
           vc.(u).(u) <- vc.(u).(u) + 1;

@@ -6,16 +6,13 @@
     at least one a write, from different units — that are not ordered by
     the happens-before relation the sync edges induce.
 
-    Units are execution contexts whose internal order is program order:
-    for the hDSM checker a unit is a kernel instance (node); for the
-    island race detector a unit is a time island, with window barriers
-    as [Barrier] events (posts always deliver in a later window, so the
-    barrier subsumes every legal delivery edge). A coherent
-    write-invalidate run is race-free by construction because every
-    ownership or copy transfer is a message, i.e. a [Sync]; stripping the
-    [Sync] events from a captured log (or synthesising a log with
-    unsynchronised sharing) must make the detector fire, which is how the
-    known-racy validation corpus is built. *)
+    A unit is a kernel instance (node), whose internal order is program
+    order. A coherent write-invalidate run is race-free by construction
+    because every ownership or copy transfer is a message, i.e. a
+    [Sync]; stripping the [Sync] events from a captured log (or
+    synthesising a log with unsynchronised sharing) must make the
+    detector fire, which is how the known-racy validation corpus is
+    built. *)
 
 type event =
   | Access of { unit_ : int; page : int; write : bool }
@@ -23,11 +20,6 @@ type event =
   | Sync of { src : int; dst : int }
       (** a happens-before edge: everything [src] did so far happens
           before everything [dst] does next *)
-  | Barrier
-      (** an all-to-all join across every unit — everything before the
-          barrier happens before everything after it. Models the
-          single-threaded window barrier of the time-island runtime,
-          where staged cross-island posts are merged. *)
 
 type race = {
   page : int;

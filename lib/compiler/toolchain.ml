@@ -56,23 +56,21 @@ let per_isa_of aligned (prog : Ir.Prog.t) arch obj =
   let tls = Memsys.Tls.layout Memsys.Tls.Common_x86 prog.globals in
   { arch; obj; frames; stackmaps; unwind; elf; tls }
 
-let compile ?budget ?(arches = Isa.Arch.all) prog =
+let compile ?budget prog =
   validate prog;
   let prog =
     match budget with
     | None -> Migration_points.instrument prog
     | Some budget -> Migration_points.instrument ~budget prog
   in
-  let objects = List.map (fun arch -> object_for arch prog) arches in
+  let objects = List.map (fun arch -> object_for arch prog) Isa.Arch.all in
   let aligned = Binary.Align.align objects in
   begin
     match Binary.Align.check_aligned aligned with
     | Ok () -> ()
     | Error msg -> invalid_arg ("Toolchain.compile: alignment failed: " ^ msg)
   end;
-  let isas =
-    List.map2 (fun arch obj -> per_isa_of aligned prog arch obj) arches objects
-  in
+  let isas = List.map2 (per_isa_of aligned prog) Isa.Arch.all objects in
   { prog; aligned; isas; migration_points = Migration_points.count_points prog }
 
 let for_arch t arch =

@@ -22,9 +22,8 @@ type t = {
   migration_points : int;
 }
 
-val compile :
-  ?budget:int -> ?arches:Isa.Arch.t list -> Ir.Prog.t -> t
-(** Compile for the given ISAs (default: both). [budget] is the
+val compile : ?budget:int -> Ir.Prog.t -> t
+(** Compile for both ISAs ({!Isa.Arch.all}). [budget] is the
     migration-point gap budget (default one scheduling quantum). Raises
     [Invalid_argument] on ill-formed programs (undefined variable uses,
     unknown callees, missing entry). *)

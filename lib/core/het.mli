@@ -100,8 +100,9 @@ val make_cluster :
   unit ->
   cluster
 (** Default machines: the paper's Xeon E5-1650 v2 + APM X-Gene 1 pair
-    joined by the Dolphin PCIe interconnect. [faults] (default: none)
-    injects a deterministic fault plan — see {!Faults.Plan}. [dsm_batch]
+    joined by the Dolphin PCIe interconnect. [faults] (default
+    {!Faults.Plan.zero}) injects a deterministic fault plan — see
+    {!Faults.Plan}. [dsm_batch]
     and [prefetch] (default off — bit-identical behaviour) enable
     coalesced hDSM page transfers and the migration working-set
     prefetch; see {!Kernel.Popcorn.create}. *)

@@ -57,12 +57,11 @@ let delivery_delay t ~kind =
 
 let page_timeout t = bernoulli t t.plan.Plan.page_timeout_rate
 
-let page_timeout_penalty_s t = t.plan.Plan.page_timeout_penalty_s
 let retry_budget t = t.plan.Plan.retry_budget
 
-let backoff t ~attempt =
+let backoff ~attempt =
   if attempt < 1 then invalid_arg "Faults.Injector.backoff: attempt < 1";
-  t.plan.Plan.backoff_base_s *. Float.of_int (1 lsl (attempt - 1))
+  Plan.backoff_base_s *. Float.of_int (1 lsl (attempt - 1))
 
 let crashes t = t.plan.Plan.crashes
 let drops_injected t = t.drops

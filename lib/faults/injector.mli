@@ -29,12 +29,11 @@ val delivery_delay : t -> kind:string -> float
 val page_timeout : t -> bool
 (** Does this phase's DSM page traffic time out once? *)
 
-val page_timeout_penalty_s : t -> float
 val retry_budget : t -> int
 
-val backoff : t -> attempt:int -> float
+val backoff : attempt:int -> float
 (** Wait before retransmission number [attempt] (1-based):
-    [backoff_base_s *. 2^(attempt-1)]. *)
+    [Plan.backoff_base_s *. 2^(attempt-1)]. *)
 
 val crashes : t -> Plan.crash list
 

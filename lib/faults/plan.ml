@@ -12,14 +12,12 @@ type t = {
   messages : msg_fault list;
   crashes : crash list;
   page_timeout_rate : float;
-  page_timeout_penalty_s : float;
   retry_budget : int;
-  backoff_base_s : float;
 }
 
 let default_retry_budget = 3
-let default_backoff_base_s = 50e-6
-let default_page_timeout_penalty_s = 1e-3
+let page_timeout_penalty_s = 1e-3
+let backoff_base_s = 50e-6
 
 let zero =
   {
@@ -27,9 +25,7 @@ let zero =
     messages = [];
     crashes = [];
     page_timeout_rate = 0.0;
-    page_timeout_penalty_s = default_page_timeout_penalty_s;
     retry_budget = default_retry_budget;
-    backoff_base_s = default_backoff_base_s;
   }
 
 let check_probability what p =
@@ -41,10 +37,7 @@ let check_non_negative what v =
     invalid_arg (Printf.sprintf "Faults.Plan: negative %s (%g)" what v)
 
 let make ?(seed = 0) ?(messages = []) ?(crashes = [])
-    ?(page_timeout_rate = 0.0)
-    ?(page_timeout_penalty_s = default_page_timeout_penalty_s)
-    ?(retry_budget = default_retry_budget)
-    ?(backoff_base_s = default_backoff_base_s) () =
+    ?(page_timeout_rate = 0.0) ?(retry_budget = default_retry_budget) () =
   List.iter
     (fun f ->
       check_probability (f.kind ^ ".drop") f.drop;
@@ -64,22 +57,12 @@ let make ?(seed = 0) ?(messages = []) ?(crashes = [])
   | None -> ());
   List.iter (fun c -> check_non_negative "crash time" c.at) crashes;
   check_probability "page_timeout_rate" page_timeout_rate;
-  check_non_negative "page_timeout_penalty_s" page_timeout_penalty_s;
-  check_non_negative "backoff_base_s" backoff_base_s;
   if retry_budget < 1 then
     invalid_arg
       (Printf.sprintf
          "Faults.Plan: retry_budget=%d (must allow at least one attempt)"
          retry_budget);
-  {
-    seed;
-    messages;
-    crashes;
-    page_timeout_rate;
-    page_timeout_penalty_s;
-    retry_budget;
-    backoff_base_s;
-  }
+  { seed; messages; crashes; page_timeout_rate; retry_budget }
 
 let uniform ?seed ?retry_budget ~drop () =
   make ?seed ?retry_budget
@@ -88,7 +71,7 @@ let uniform ?seed ?retry_budget ~drop () =
 
 let pp ppf t =
   Format.fprintf ppf "plan{seed=%d; retry=%d; backoff=%gus" t.seed
-    t.retry_budget (t.backoff_base_s *. 1e6);
+    t.retry_budget (backoff_base_s *. 1e6);
   List.iter
     (fun f ->
       Format.fprintf ppf "; %s:drop=%g,delay=%g" f.kind f.drop f.delay)

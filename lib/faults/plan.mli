@@ -8,8 +8,8 @@
     plan + seed reproduces a bit-identical run — sequentially and under
     any domain-pool width (each simulation owns its own injector).
 
-    The zero plan is the default everywhere and injects nothing: a run
-    with {!zero} is byte-identical to a run with no fault plan at all. *)
+    The zero plan is the default everywhere: a run given no plan runs
+    under {!zero}, which injects nothing and draws nothing. *)
 
 type msg_fault = {
   kind : string;
@@ -31,13 +31,16 @@ type t = {
   crashes : crash list;
   page_timeout_rate : float;
       (** probability that a phase's DSM page traffic times out once *)
-  page_timeout_penalty_s : float;  (** latency added per page timeout *)
   retry_budget : int;
       (** total attempts per message (>= 1); also bounds how many times
           the datacenter scheduler re-admits a crash-orphaned job *)
-  backoff_base_s : float;
-      (** wait before the first retransmission; doubles per attempt *)
 }
+
+val page_timeout_penalty_s : float
+(** Latency added per page timeout: 1 ms. *)
+
+val backoff_base_s : float
+(** Wait before the first retransmission: 50 us; doubles per attempt. *)
 
 val zero : t
 (** The default plan: no drops, no delays, no crashes, no timeouts. *)
@@ -47,14 +50,12 @@ val make :
   ?messages:msg_fault list ->
   ?crashes:crash list ->
   ?page_timeout_rate:float ->
-  ?page_timeout_penalty_s:float ->
   ?retry_budget:int ->
-  ?backoff_base_s:float ->
   unit ->
   t
 (** Validating constructor. Raises [Invalid_argument] on any
     out-of-range field: probabilities outside [\[0,1\]], negative
-    latencies or crash times, a retry budget below 1 (a budget of 0
+    delays or crash times, a retry budget below 1 (a budget of 0
     would mean "never even try" and is certainly a bug), or a duplicate
     message-kind entry. Message-kind {e names} are validated later,
     against the live ensemble, by {!Injector.create}. *)

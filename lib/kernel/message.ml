@@ -26,7 +26,7 @@ type retry_stats = {
 type t = {
   engine : Sim.Engine.t;
   interconnect : Machine.Interconnect.t;
-  faults : Faults.Injector.t option;
+  faults : Faults.Injector.t;
   obs : Obs.t;
   counts : (kind, int) Hashtbl.t;
   retries : (kind, retry_stats) Hashtbl.t;
@@ -35,6 +35,13 @@ type t = {
 }
 
 let create ?faults ?(obs = Obs.noop) engine interconnect =
+  let faults =
+    match faults with
+    | Some inj -> inj
+    | None ->
+      Faults.Injector.create Faults.Plan.zero
+        ~kinds:(List.map kind_to_string all_kinds)
+  in
   if Obs.enabled obs then begin
     Obs.process_name obs ~pid:Obs.interconnect_pid "interconnect";
     List.iter
@@ -88,65 +95,55 @@ let rpc_span t kind ~t0 ~bytes ~attempts ~failed =
 let send t kind ?on_failure ~bytes ~on_delivery () =
   if bytes < 0 then invalid_arg "Message.send: negative size";
   let latency = Machine.Interconnect.transfer_time t.interconnect ~bytes in
-  match t.faults with
-  | None ->
-    (* The fault-free fast path: exactly the pre-fault behavior (and
-       event ordering), one attempt, guaranteed delivery. *)
+  let inj = t.faults in
+  let kind_name = kind_to_string kind in
+  let stats = retry_stats t kind in
+  let budget = Faults.Injector.retry_budget inj in
+  let t0 = Sim.Engine.now t.engine in
+  (* Attempt [n] (0-based). A lost attempt is detected by timeout: the
+     sender waits one transfer time plus an exponentially growing backoff
+     before retransmitting. When the budget is exhausted the message is
+     abandoned and [on_failure] fires (loudly: the caller decides how to
+     recover; there is no silent no-op). The zero plan loses and delays
+     nothing and draws nothing, so a plan-free send is one attempt,
+     delivered after exactly the transfer time. *)
+  let rec attempt n =
     count_attempt t kind ~bytes;
-    if Obs.enabled t.obs then begin
-      let t0 = Sim.Engine.now t.engine in
-      Sim.Engine.schedule_in t.engine ~after:latency (fun () ->
-          rpc_span t kind ~t0 ~bytes ~attempts:1 ~failed:false;
-          on_delivery ())
-    end
-    else Sim.Engine.schedule_in t.engine ~after:latency on_delivery
-  | Some inj ->
-    let kind_name = kind_to_string kind in
-    let stats = retry_stats t kind in
-    let budget = Faults.Injector.retry_budget inj in
-    let t0 = Sim.Engine.now t.engine in
-    (* Attempt [n] (0-based). A lost attempt is detected by timeout:
-       the sender waits one transfer time plus an exponentially growing
-       backoff before retransmitting. When the budget is exhausted the
-       message is abandoned and [on_failure] fires (loudly: the caller
-       decides how to recover; there is no silent no-op). *)
-    let rec attempt n =
-      count_attempt t kind ~bytes;
-      stats.attempts <- stats.attempts + 1;
-      if Faults.Injector.drop_attempt inj ~kind:kind_name then begin
-        stats.dropped <- stats.dropped + 1;
-        Obs.incr t.obs ("msg.dropped." ^ kind_name);
-        if n + 1 < budget then begin
-          stats.retried <- stats.retried + 1;
-          let backoff = Faults.Injector.backoff inj ~attempt:(n + 1) in
-          if Obs.enabled t.obs then
-            Obs.instant t.obs ~ts:(Sim.Engine.now t.engine)
-              ~pid:Obs.interconnect_pid ~tid:(kind_index kind) ~cat:"rpc"
-              ~name:"retry"
-              ~args:[ ("attempt", Obs.I (n + 1)); ("backoff_us", Obs.F (backoff *. 1e6)) ]
-              ();
-          Sim.Engine.schedule_in t.engine ~after:(latency +. backoff)
-            (fun () -> attempt (n + 1))
-        end
-        else begin
-          stats.failed <- stats.failed + 1;
-          Obs.incr t.obs ("msg.failed." ^ kind_name);
-          if Obs.enabled t.obs then
-            rpc_span t kind ~t0 ~bytes ~attempts:(n + 1) ~failed:true;
-          match on_failure with Some f -> f () | None -> ()
-        end
+    stats.attempts <- stats.attempts + 1;
+    if Faults.Injector.drop_attempt inj ~kind:kind_name then begin
+      stats.dropped <- stats.dropped + 1;
+      Obs.incr t.obs ("msg.dropped." ^ kind_name);
+      if n + 1 < budget then begin
+        stats.retried <- stats.retried + 1;
+        let backoff = Faults.Injector.backoff ~attempt:(n + 1) in
+        if Obs.enabled t.obs then
+          Obs.instant t.obs ~ts:(Sim.Engine.now t.engine)
+            ~pid:Obs.interconnect_pid ~tid:(kind_index kind) ~cat:"rpc"
+            ~name:"retry"
+            ~args:[ ("attempt", Obs.I (n + 1)); ("backoff_us", Obs.F (backoff *. 1e6)) ]
+            ();
+        Sim.Engine.schedule_in t.engine ~after:(latency +. backoff)
+          (fun () -> attempt (n + 1))
       end
       else begin
-        stats.delivered <- stats.delivered + 1;
-        let extra = Faults.Injector.delivery_delay inj ~kind:kind_name in
+        stats.failed <- stats.failed + 1;
+        Obs.incr t.obs ("msg.failed." ^ kind_name);
         if Obs.enabled t.obs then
-          Sim.Engine.schedule_in t.engine ~after:(latency +. extra) (fun () ->
-              rpc_span t kind ~t0 ~bytes ~attempts:(n + 1) ~failed:false;
-              on_delivery ())
-        else Sim.Engine.schedule_in t.engine ~after:(latency +. extra) on_delivery
+          rpc_span t kind ~t0 ~bytes ~attempts:(n + 1) ~failed:true;
+        match on_failure with Some f -> f () | None -> ()
       end
-    in
-    attempt 0
+    end
+    else begin
+      stats.delivered <- stats.delivered + 1;
+      let extra = Faults.Injector.delivery_delay inj ~kind:kind_name in
+      if Obs.enabled t.obs then
+        Sim.Engine.schedule_in t.engine ~after:(latency +. extra) (fun () ->
+            rpc_span t kind ~t0 ~bytes ~attempts:(n + 1) ~failed:false;
+            on_delivery ())
+      else Sim.Engine.schedule_in t.engine ~after:(latency +. extra) on_delivery
+    end
+  in
+  attempt 0
 
 let sent t kind =
   match Hashtbl.find_opt t.counts kind with None -> 0 | Some n -> n

@@ -5,12 +5,13 @@
     5.1). The bus delivers a callback after the modeled transfer latency
     and keeps traffic statistics.
 
-    When a fault injector is attached, each send attempt may be lost
+    Every send runs under a fault injector: each attempt may be lost
     according to the fault plan. Lost attempts are detected by timeout
     and retransmitted with exponential backoff until the plan's retry
     budget is exhausted, at which point the message is abandoned and the
-    caller's [on_failure] fires. Without an injector the bus is the
-    perfect fabric it always was, with identical event ordering. *)
+    caller's [on_failure] fires. Under {!Faults.Plan.zero} (the default)
+    the bus is a perfect fabric: one attempt per message, delivered
+    after exactly the transfer time. *)
 
 type kind =
   | Thread_migration  (** register state + transformation handoff *)
@@ -37,7 +38,8 @@ val create :
   Sim.Engine.t ->
   Machine.Interconnect.t ->
   t
-(** [obs] (default {!Obs.noop}) records one complete RPC span per message
+(** [faults] defaults to an injector built from {!Faults.Plan.zero}.
+    [obs] (default {!Obs.noop}) records one complete RPC span per message
     — first send attempt to delivery or abandonment, on the interconnect
     track's per-kind row — plus retry instants and
     [msg.sent./msg.dropped./msg.failed.<kind>] counters. With the no-op
@@ -62,8 +64,8 @@ val sent : t -> kind -> int
 (** Send attempts of a kind (retransmissions included). *)
 
 val retry_stats : t -> kind -> retry_stats
-(** Per-kind retry/failure counters; all zeros before the first send
-    under a fault plan. The returned record is live. *)
+(** Per-kind retry/failure counters; all zeros before the first send.
+    The returned record is live. *)
 
 val total_bytes : t -> int
 val total_messages : t -> int

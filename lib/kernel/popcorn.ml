@@ -11,7 +11,7 @@ type t = {
   engine : Sim.Engine.t;
   bus : Message.t;
   dsm : Dsm.Hdsm.t;
-  faults : Faults.Injector.t option;
+  faults : Faults.Injector.t;
   obs : Obs.t;
   prefetch : bool;  (** push the migrating thread's working set ahead *)
   nodes : node array;
@@ -117,8 +117,8 @@ let crash t ~node =
     orphans
   end
 
-let create engine ?faults ?(dsm_batch = false) ?(prefetch = false)
-    ?(obs = Obs.noop) ~machines () =
+let create engine ?(faults = Faults.Plan.zero) ?(dsm_batch = false)
+    ?(prefetch = false) ?(obs = Obs.noop) ~machines () =
   let interconnect = Machine.Interconnect.dolphin_pxh810 in
   let nodes =
     Array.of_list
@@ -128,26 +128,22 @@ let create engine ?faults ?(dsm_batch = false) ?(prefetch = false)
              powered = true; crashed = false })
          machines)
   in
+  List.iter
+    (fun (c : Faults.Plan.crash) ->
+      if c.Faults.Plan.node < 0 || c.Faults.Plan.node >= Array.length nodes
+      then
+        invalid_arg
+          (Printf.sprintf "Popcorn.create: crash targets unknown node %d"
+             c.Faults.Plan.node))
+    faults.Faults.Plan.crashes;
   let injector =
-    match faults with
-    | None -> None
-    | Some plan ->
-      List.iter
-        (fun (c : Faults.Plan.crash) ->
-          if c.Faults.Plan.node < 0 || c.Faults.Plan.node >= Array.length nodes
-          then
-            invalid_arg
-              (Printf.sprintf "Popcorn.create: crash targets unknown node %d"
-                 c.Faults.Plan.node))
-        plan.Faults.Plan.crashes;
-      Some
-        (Faults.Injector.create plan
-           ~kinds:(List.map Message.kind_to_string Message.all_kinds))
+    Faults.Injector.create faults
+      ~kinds:(List.map Message.kind_to_string Message.all_kinds)
   in
   let t =
     {
       engine;
-      bus = Message.create ?faults:injector ~obs engine interconnect;
+      bus = Message.create ~faults:injector ~obs engine interconnect;
       dsm =
         Dsm.Hdsm.create ~batch:dsm_batch ~nodes:(Array.length nodes)
           ~interconnect ~obs
@@ -171,15 +167,12 @@ let create engine ?faults ?(dsm_batch = false) ?(prefetch = false)
       migrated_hooks = [];
     }
   in
-  (match injector with
-  | None -> ()
-  | Some inj ->
-    List.iter
-      (fun (c : Faults.Plan.crash) ->
-        Sim.Engine.schedule engine ~at:c.Faults.Plan.at (fun () ->
-            let orphans = crash t ~node:c.Faults.Plan.node in
-            List.iter (fun h -> h c.Faults.Plan.node orphans) t.crash_hooks))
-      (Faults.Injector.crashes inj));
+  List.iter
+    (fun (c : Faults.Plan.crash) ->
+      Sim.Engine.schedule engine ~at:c.Faults.Plan.at (fun () ->
+          let orphans = crash t ~node:c.Faults.Plan.node in
+          List.iter (fun h -> h c.Faults.Plan.node orphans) t.crash_hooks))
+    (Faults.Injector.crashes injector);
   if Obs.enabled obs then
     Array.iter
       (fun n ->
@@ -447,10 +440,9 @@ and run_phase t proc th phase rest =
   (* A page-request timeout stalls the whole batch once: the requester
      re-sends after the timeout penalty. *)
   let dsm_latency =
-    match t.faults with
-    | Some inj when Faults.Injector.page_timeout inj ->
-      dsm_latency +. Faults.Injector.page_timeout_penalty_s inj
-    | Some _ | None -> dsm_latency
+    if Faults.Injector.page_timeout t.faults then
+      dsm_latency +. Faults.Plan.page_timeout_penalty_s
+    else dsm_latency
   in
   let duration = (compute *. contention) +. dsm_latency in
   let gen = th.Process.gen in

@@ -8,8 +8,8 @@
     through the DSM, and pending migration requests are honoured at phase
     boundaries (migration points).
 
-    When built with a fault plan, the ensemble injects deterministic
-    failures: message loss/delay (with retry and exponential backoff in
+    Under a fault plan, the ensemble injects deterministic failures:
+    message loss/delay (with retry and exponential backoff in
     {!Message}), page-request timeouts, and scheduled node crashes. A
     migration whose handoff message exhausts its retry budget aborts and
     rolls back — the thread stays runnable on the source node with its
@@ -28,7 +28,7 @@ type t = {
   engine : Sim.Engine.t;
   bus : Message.t;
   dsm : Dsm.Hdsm.t;
-  faults : Faults.Injector.t option;
+  faults : Faults.Injector.t;  (** built from {!Faults.Plan.zero} by default *)
   obs : Obs.t;  (** observability sink; {!Obs.noop} unless passed to create *)
   prefetch : bool;  (** push the migrating thread's working set ahead *)
   nodes : node array;
@@ -63,8 +63,9 @@ val create :
   t
 (** Boot one kernel per machine, joined by the Dolphin PXH810
     interconnect.
-    Without [faults] the ensemble behaves exactly as before this option
-    existed — no injector is built and no extra PRNG draws happen.
+    [faults] defaults to {!Faults.Plan.zero}, which injects nothing and
+    draws nothing: a run without it is byte-identical to one with the
+    zero plan, message statistics included.
     [dsm_batch] (default false) coalesces contiguous hDSM page runs into
     single protocol operations; [prefetch] (default false) pushes a
     migrating thread's predicted next-phase pages to the destination

@@ -75,11 +75,11 @@ let validate_bursty ~rate_high ~rate_low ~mean_on ~mean_off ~services
   if mean_on <= 0.0 || mean_off <= 0.0 then
     invalid_arg "Arrival.bursty: sojourn means must be positive"
 
-let validate_diurnal ~base_rps ~peak_rps ~day_s ~services ~days =
+let validate_diurnal ~peak_rps ~day_s ~services ~days =
   if services < 1 then invalid_arg "Arrival.diurnal: need at least one service";
   if days < 1 then invalid_arg "Arrival.diurnal: need at least one day";
-  if base_rps < 0.0 || peak_rps < base_rps then
-    invalid_arg "Arrival.diurnal: need 0 <= base_rps <= peak_rps";
+  if not (peak_rps >= 0.0) then
+    invalid_arg "Arrival.diurnal: need peak_rps >= 0";
   if day_s <= 0.0 then invalid_arg "Arrival.diurnal: day_s must be positive"
 
 let bursty ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
@@ -123,9 +123,8 @@ let day_shape =
     1.00; 0.95; 0.90; 0.85; 0.80; 0.85; 0.95; 1.00; 0.90; 0.70; 0.50; 0.35;
   |]
 
-let diurnal ?(base_rps = 0.0) ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed
-    ~services ~days () =
-  validate_diurnal ~base_rps ~peak_rps ~day_s ~services ~days;
+let diurnal ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed ~services ~days () =
+  validate_diurnal ~peak_rps ~day_s ~services ~days;
   let master = Sim.Prng.create seed in
   let slot_s = day_s /. 24.0 in
   let acc = ref [] in
@@ -137,7 +136,7 @@ let diurnal ?(base_rps = 0.0) ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed
     let k = ref 0 in
     for slot = 0 to (days * 24) - 1 do
       let shape = day_shape.((slot + phase) mod 24) in
-      let rate = base_rps +. ((peak_rps -. base_rps) *. shape) in
+      let rate = peak_rps *. shape in
       let seg_start = float_of_int slot *. slot_s in
       let k', acc' =
         poisson_segment rng ~svc ~rate ~seg_start
@@ -387,9 +386,9 @@ let stream_bursty ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
   in
   merged_stream ~sname:(Printf.sprintf "bursty-s%d" seed) ~services gens
 
-let stream_diurnal ?(base_rps = 0.0) ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed
-    ~services ~days () =
-  validate_diurnal ~base_rps ~peak_rps ~day_s ~services ~days;
+let stream_diurnal ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed ~services ~days
+    () =
+  validate_diurnal ~peak_rps ~day_s ~services ~days;
   let master = Sim.Prng.create seed in
   let slot_s = day_s /. 24.0 in
   let gens =
@@ -401,7 +400,7 @@ let stream_diurnal ?(base_rps = 0.0) ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed
           if !slot >= days * 24 then None
           else begin
             let shape = day_shape.((!slot + phase) mod 24) in
-            let rate = base_rps +. ((peak_rps -. base_rps) *. shape) in
+            let rate = peak_rps *. shape in
             let seg_start = float_of_int !slot *. slot_s in
             incr slot;
             if rate <= 0.0 then next_seg g
@@ -513,7 +512,6 @@ type source =
       duration_s : float;
     }
   | Diurnal of {
-      base_rps : float;
       peak_rps : float;
       day_s : float;
       seed : int;
@@ -529,10 +527,10 @@ let bursty_source ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
     ~duration_s;
   Bursty { rate_high; rate_low; mean_on; mean_off; seed; services; duration_s }
 
-let diurnal_source ?(base_rps = 0.0) ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed
-    ~services ~days () =
-  validate_diurnal ~base_rps ~peak_rps ~day_s ~services ~days;
-  Diurnal { base_rps; peak_rps; day_s; seed; services; days }
+let diurnal_source ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed ~services ~days
+    () =
+  validate_diurnal ~peak_rps ~day_s ~services ~days;
+  Diurnal { peak_rps; day_s; seed; services; days }
 
 let open_stream ?limit source =
   (match limit with
@@ -545,8 +543,8 @@ let open_stream ?limit source =
         ~mean_on:p.mean_on ~mean_off:p.mean_off ~seed:p.seed
         ~services:p.services ~duration_s:p.duration_s ()
     | Diurnal p ->
-      stream_diurnal ~base_rps:p.base_rps ~peak_rps:p.peak_rps ~day_s:p.day_s
-        ~seed:p.seed ~services:p.services ~days:p.days ()
+      stream_diurnal ~peak_rps:p.peak_rps ~day_s:p.day_s ~seed:p.seed
+        ~services:p.services ~days:p.days ()
     | Replay_file path -> stream_of_file path
     | Materialized trace -> stream_of_trace trace
   in

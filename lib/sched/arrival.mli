@@ -52,7 +52,6 @@ val bursty :
     sub-traces are stable under [services] changes. *)
 
 val diurnal :
-  ?base_rps:float ->
   ?peak_rps:float ->
   ?day_s:float ->
   seed:int ->
@@ -62,9 +61,9 @@ val diurnal :
   request_trace
 (** Piecewise-constant day curve: 24 equal slots per compressed day of
     [day_s] seconds (default 240 — a day in four minutes), each slot's
-    Poisson rate interpolated between [base_rps] (default 0: the night
-    trough is truly silent, so idle-return policies have something to
-    harvest) and [peak_rps] by a fixed trough/ramp/plateau/peak shape.
+    Poisson rate [peak_rps] (default 20, at least 0) scaled by a fixed
+    trough/ramp/plateau/peak shape whose night trough is 0: truly
+    silent, so idle-return policies have something to harvest.
     Each service's curve is phase-shifted by a per-service random
     offset so peaks stagger across the fleet. *)
 
@@ -95,7 +94,6 @@ type source =
       duration_s : float;
     }
   | Diurnal of {
-      base_rps : float;
       peak_rps : float;
       day_s : float;
       seed : int;
@@ -122,7 +120,6 @@ val bursty_source :
 (** {!Bursty} with {!bursty}'s defaults; validates eagerly. *)
 
 val diurnal_source :
-  ?base_rps:float ->
   ?peak_rps:float ->
   ?day_s:float ->
   seed:int ->

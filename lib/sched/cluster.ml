@@ -323,18 +323,14 @@ let run_impl ?(domains = 1) ~capture cfg =
     Sim.Islands.create ~capture ~edge_lookahead ~islands:(n_nodes + 1)
       ~lookahead:cfg.epoch_s ~seed:cfg.seed ()
   in
-  (* Ownership tags for the island race audit: the scheduler island (0)
-     owns the queue and load estimates (resource 0); node island i+1
-     owns node i's mutable state (resource i+1). Guarded by a local
-     immutable bool so plain runs pay nothing. *)
+  (* Ownership tags for the island audit: the scheduler island (0) owns
+     the queue and load estimates; node island i+1 owns node i's
+     mutable state. Guarded by a local immutable bool so plain runs pay
+     nothing. *)
   let audit = capture in
-  let touch_sched isl =
-    if audit then Sim.Islands.touch isl ~owner:0 ~resource:0 ~write:true
-  in
+  let touch_sched isl = if audit then Sim.Islands.touch isl ~owner:0 in
   let touch_node isl ns =
-    if audit then
-      Sim.Islands.touch isl ~owner:(ns.node_id + 1) ~resource:(ns.node_id + 1)
-        ~write:true
+    if audit then Sim.Islands.touch isl ~owner:(ns.node_id + 1)
   in
   let nodes =
     Array.init n_nodes (fun i ->

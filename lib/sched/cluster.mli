@@ -99,9 +99,10 @@ val run : ?domains:int -> config -> result
 val run_audited : ?domains:int -> config -> result * Sim.Islands.capture
 (** Like {!run}, with the runtime's audit capture enabled: records post
     edges, executed events, window barriers, PRNG fingerprints, and
-    ownership touches (scheduler island owns resource 0; node island
-    [i+1] owns resource [i+1]) for the [hetmig audit] passes. Capture
-    is pure observation — the result is identical to {!run}'s. *)
+    ownership touches (the scheduler island owns the queue and load
+    estimates; node island [i+1] owns node [i]'s state) for the
+    [hetmig audit] passes. Capture is pure observation — the result is
+    identical to {!run}'s. *)
 
 val render : config -> result -> string
 (** Byte-stable text report (no wall-clock, no domain count): the

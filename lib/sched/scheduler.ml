@@ -25,12 +25,12 @@ type admission = Fcfs | Sjf
 (* The dynamic policies' load-check interval. *)
 let rebalance_period = 2.0
 
-let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
-    policy jobs =
+let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
+    ?(obs = Obs.noop) policy jobs =
   let engine = Sim.Engine.create () in
   let machines = Policy.machines policy in
   let pop =
-    Kernel.Popcorn.create engine ?faults ?dsm_batch ?prefetch ~obs ~machines ()
+    Kernel.Popcorn.create engine ~faults ?dsm_batch ?prefetch ~obs ~machines ()
   in
   if Obs.enabled obs then
     Obs.process_name obs ~pid:Obs.scheduler_pid
@@ -220,11 +220,7 @@ let run ?(admission = Fcfs) ?faults ?dsm_batch ?prefetch ?(obs = Obs.noop)
       final_energy := Some (energies ())
     end
   in
-  let retry_budget =
-    match faults with
-    | None -> 0
-    | Some plan -> plan.Faults.Plan.retry_budget
-  in
+  let retry_budget = faults.Faults.Plan.retry_budget in
   Kernel.Popcorn.on_node_crash pop (fun _node orphans ->
       List.iter
         (fun orphan ->

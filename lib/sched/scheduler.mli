@@ -64,8 +64,8 @@ val run :
     "migrate" and "drain" span durations fold back to [downtime_s] and
     [drain_time_s] exactly.
 
-    [faults] (default: none — byte-identical to a build without fault
-    injection) threads a deterministic fault plan through the ensemble:
+    [faults] (default {!Faults.Plan.zero}, which injects nothing and
+    draws nothing) threads a deterministic fault plan through the ensemble:
     messages are dropped/delayed and retried with exponential backoff,
     page requests time out, and scheduled node crashes kill in-flight
     jobs. A crash-orphaned job is re-queued up to

@@ -127,25 +127,12 @@ type result = {
 (* Latency histograms, the per-node final ones and each service's p99
    window alike: base 2, 48 buckets — 2^47 ms upper edge, far beyond
    any simulated latency, so clamping never distorts the tail. A
-   response is binned once and its bucket feeds both. The bucket
-   function must agree bit-for-bit with [Sim.Stats.log_histogram] so
-   [Sim.Stats.percentile] reads these count arrays with its own edge
-   semantics. *)
+   response is binned once, with [Sim.Stats.log_histogram]'s own base-2
+   bucket, and its bucket feeds both, so [Sim.Stats.percentile] reads
+   these count arrays with its own edge semantics. *)
 let lat_buckets = 48
 
-let bucket_of x =
-  if x < 1.0 then 0
-  else begin
-    (* floor(log2 x) from the IEEE exponent field — exact at bucket
-       edges and transcendental-free; mirrors the base-2 fast path in
-       [Sim.Stats.log_histogram]. *)
-    let b =
-      (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52)
-      land 0x7FF)
-      - 1023
-    in
-    if b >= lat_buckets then lat_buckets - 1 else b
-  end
+let lat_bucket_lo = Sim.Stats.log_edges ~base:2.0 ~buckets:lat_buckets
 
 let grow_int a =
   let b = Array.make (max 8 (2 * Array.length a)) 0 in
@@ -156,9 +143,6 @@ let grow_float a =
   let b = Array.make (max 8 (2 * Array.length a)) 0.0 in
   Array.blit a 0 b 0 (Array.length a);
   b
-
-let lat_bucket_lo =
-  Array.init lat_buckets (fun i -> 2.0 ** float_of_int i)
 
 (* --- per-island state -------------------------------------------------- *)
 
@@ -329,30 +313,14 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     Sim.Islands.create ~capture ~islands:(cfg.nodes + 1) ~lookahead:cfg.epoch_s
       ~seed:cfg.seed ()
   in
-  (* Ownership tags for the island race audit. The controller island (0)
-     owns the routing/window state (resource 0); node island i+1 owns
-     three resources: node i's serving state (busy/hosted/accounting),
-     its request queues, and its latency-histogram/digest buffers —
-     split so a diagnostic names which structure was touched. Guarded by
-     a local immutable bool so plain runs pay one predictable branch. *)
+  (* Ownership tags for the island audit: the controller island (0)
+     owns the routing/window state; node island i+1 owns node i's
+     serving state, request queues and digest buffers. Guarded by a
+     local immutable bool so plain runs pay one predictable branch. *)
   let audit = capture in
-  let touch_ctrl isl =
-    if audit then Sim.Islands.touch isl ~owner:0 ~resource:0 ~write:true
-  in
-  let touch_state isl nid =
-    if audit then
-      Sim.Islands.touch isl ~owner:(nid + 1) ~resource:(1 + (nid * 3))
-        ~write:true
-  in
-  let touch_queue isl nid =
-    if audit then
-      Sim.Islands.touch isl ~owner:(nid + 1) ~resource:(2 + (nid * 3))
-        ~write:true
-  in
-  let touch_hist isl nid =
-    if audit then
-      Sim.Islands.touch isl ~owner:(nid + 1) ~resource:(3 + (nid * 3))
-        ~write:true
+  let touch_ctrl isl = if audit then Sim.Islands.touch isl ~owner:0 in
+  let touch_node isl ns =
+    if audit then Sim.Islands.touch isl ~owner:(ns.node_id + 1)
   in
   let nodes =
     Array.init cfg.nodes (fun i ->
@@ -598,7 +566,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     end
   in
   let rec start_request ns svc rid at isl =
-    touch_state isl ns.node_id;
+    touch_node isl ns;
     let now = Sim.Islands.now isl in
     settle ns ~now;
     ns.busy <- ns.busy + 1;
@@ -617,15 +585,14 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     (* A crash while this request executed already reported it dropped
        and zeroed the worker accounting; the completion is void. *)
     if not ns.crashed then begin
-      touch_state isl ns.node_id;
-      touch_hist isl ns.node_id;
+      touch_node isl ns;
       let now = Sim.Islands.now isl in
       settle ns ~now;
       ns.busy <- ns.busy - 1;
       ns.executing.(svc) <- ns.executing.(svc) - 1;
       let lat_ms = (now -. at) *. 1e3 in
       ns.responded <- ns.responded + 1;
-      let b = bucket_of lat_ms in
+      let b = Sim.Stats.log2_bucket ~buckets:lat_buckets lat_ms in
       ns.lat_counts.(b) <- ns.lat_counts.(b) + 1;
       ns.nf.lat_sum_ms <- ns.nf.lat_sum_ms +. lat_ms;
       ns.lat_n <- ns.lat_n + 1;
@@ -662,7 +629,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     end
 
   and flush_digest ns isl =
-    touch_hist isl ns.node_id;
+    touch_node isl ns;
     let resp = ns.dg_resp and viol = ns.dg_viol in
     let tn = ns.dg_touched_n in
     let packed = Array.make ((2 * tn) + ns.dg_lat_n) 0 in
@@ -684,7 +651,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       (apply_digest ns.node_id resp viol tn packed ms)
 
   and start_next ns svc isl =
-    touch_queue isl ns.node_id;
+    touch_node isl ns;
     if
       ns.hosted.(svc)
       && (not ns.draining.(svc))
@@ -699,7 +666,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     end
 
   and deliver ns svc rid at isl =
-    touch_queue isl ns.node_id;
+    touch_node isl ns;
     if ns.crashed then drop ns svc 1 isl
     else if ns.hosted.(svc) then begin
       if (not ns.draining.(svc)) && ns.executing.(svc) < cfg.workers then
@@ -726,7 +693,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
 
   and drain_cmd svc dst gen isl =
     let ns = nodes.(Sim.Islands.id isl - 1) in
-    touch_state isl ns.node_id;
+    touch_node isl ns;
     if ns.crashed || not ns.hosted.(svc) then
       Sim.Islands.post isl ~dst:0 ~after:epoch (move_failed svc gen)
     else begin
@@ -737,8 +704,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     end
 
   and finish_drain ns svc isl =
-    touch_state isl ns.node_id;
-    touch_queue isl ns.node_id;
+    touch_node isl ns;
     let now = Sim.Islands.now isl in
     let dst = ns.drain_dst.(svc) in
     let gen = ns.drain_gen.(svc) in
@@ -762,8 +728,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
 
   and land_cmd svc gen carried isl =
     let ns = nodes.(Sim.Islands.id isl - 1) in
-    touch_state isl ns.node_id;
-    touch_queue isl ns.node_id;
+    touch_node isl ns;
     if ns.crashed then begin
       drop ns svc (Sim.Ring.length carried) isl;
       Sim.Islands.post isl ~dst:0 ~after:epoch (move_failed svc gen)
@@ -795,8 +760,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
        copy was in flight) must not leave a zombie instance burning
        hosted power; tear it down, dropping whatever it queued. *)
     let ns = nodes.(Sim.Islands.id isl - 1) in
-    touch_state isl ns.node_id;
-    touch_queue isl ns.node_id;
+    touch_node isl ns;
     if (not ns.crashed) && ns.hosted.(svc) then begin
       settle ns ~now:(Sim.Islands.now isl);
       ns.hosted.(svc) <- false;
@@ -808,8 +772,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     end
 
   and crash_node ns isl =
-    touch_state isl ns.node_id;
-    touch_queue isl ns.node_id;
+    touch_node isl ns;
     if not ns.crashed then begin
       let now = Sim.Islands.now isl in
       settle ns ~now;

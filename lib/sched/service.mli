@@ -143,10 +143,10 @@ val run_audited :
 (** Like {!run}, with the runtime's audit capture enabled: records post
     edges, executed events, window barriers, PRNG fingerprints, and
     ownership touches for the [hetmig audit] passes. The controller
-    island owns resource 0; node island [i+1] owns resources
-    [1 + 3i] (serving state), [2 + 3i] (request queues), and [3 + 3i]
-    (latency/digest buffers). The simulated result is identical to
-    {!run}'s — capture is pure observation. *)
+    island owns the routing and window state; node island [i+1] owns
+    node [i]'s serving state, request queues and digest buffers. The
+    simulated result is identical to {!run}'s — capture is pure
+    observation. *)
 
 val render : config -> result -> string
 (** Byte-stable report (pure function of config and result): the

@@ -44,8 +44,6 @@
    capture is race-free at any domain count and the merged capture is
    deterministic. *)
 
-type touch_rec = { t_owner : int; t_resource : int; t_write : bool }
-
 type exec_rec = {
   x_isl : int;  (* executing island *)
   x_time : float;
@@ -55,7 +53,7 @@ type exec_rec = {
   x_window : int;
   x_prng_before : int64;  (* island PRNG fingerprint around the event *)
   x_prng_after : int64;
-  x_touches : touch_rec list;  (* ownership touches, program order *)
+  x_touches : int list;  (* owners of the state it touched, program order *)
 }
 
 type post_rec = {
@@ -90,7 +88,7 @@ type capture = {
 type island_cap = {
   mutable k_execs : exec_rec list;  (* reversed *)
   mutable k_posts : post_rec list;  (* reversed *)
-  mutable k_touches : touch_rec list;  (* current event's, reversed *)
+  mutable k_touches : int list;  (* current event's owners, reversed *)
 }
 
 type island = {
@@ -290,18 +288,15 @@ let post isl ~dst ~after act =
   end
 
 (* Ownership observer hook for the audit layer: models (Sched.Cluster,
-   Sched.Service) tag touches of island-owned mutable state with the
-   owning island and a resource id. Touches are attached to the event
-   being executed, in program order; outside a capture this is one
-   branch. Touches made outside any event (setup code before {!run})
-   are dropped — setup is single-threaded by construction. *)
-let touch isl ~owner ~resource ~write =
+   Sched.Service) tag each touch of island-owned mutable state with the
+   island that owns it. Touches are attached to the event being
+   executed, in program order; outside a capture this is one branch.
+   Touches made outside any event (setup code before {!run}) are
+   dropped — setup is single-threaded by construction. *)
+let touch isl ~owner =
   match isl.cap with
   | None -> ()
-  | Some cap ->
-      cap.k_touches <-
-        { t_owner = owner; t_resource = resource; t_write = write }
-        :: cap.k_touches
+  | Some cap -> cap.k_touches <- owner :: cap.k_touches
 
 (* Run one island up to (strictly before) [until]. Actions may push more
    local events inside the window; the loop drains them in key order

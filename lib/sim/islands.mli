@@ -29,12 +29,6 @@ type island
     lane, and barrier snapshots are taken single-threaded, so capture
     is race-free and deterministic at any domain count. *)
 
-type touch_rec = {
-  t_owner : int;  (** island that owns the touched resource *)
-  t_resource : int;  (** model-assigned resource id *)
-  t_write : bool;
-}
-
 type exec_rec = {
   x_isl : int;  (** executing island *)
   x_time : float;
@@ -44,7 +38,9 @@ type exec_rec = {
   x_window : int;
   x_prng_before : int64;  (** island PRNG fingerprint before the event *)
   x_prng_after : int64;  (** … and after *)
-  x_touches : touch_rec list;  (** ownership touches, program order *)
+  x_touches : int list;
+      (** owners of the state the event touched (see {!touch}), in
+          program order *)
 }
 
 type post_rec = {
@@ -149,14 +145,12 @@ val run : ?domains:int -> t -> unit
     island. Events scheduled or posted from outside any action before
     [run], including between two [run] calls, run at their times. *)
 
-val touch : island -> owner:int -> resource:int -> write:bool -> unit
+val touch : island -> owner:int -> unit
 (** Ownership observer for the audit layer: a model tags an access to
-    mutable state with the island that owns it ([owner]) and a
-    model-chosen [resource] id. Touches are attached, in program order,
-    to the event currently executing on [isl]; without [capture] this
-    is a single branch. The island-race audit pass flags touches whose
-    [owner] differs from the executing island with no happens-before
-    edge. *)
+    mutable state with the island that owns it. Touches are attached,
+    in program order, to the event currently executing on [isl];
+    without [capture] this is a single branch. The island-race audit
+    pass flags every touch whose [owner] is not the executing island. *)
 
 val capture : t -> capture option
 (** The recorded audit capture, or [None] without [capture:true]. Call

@@ -94,6 +94,24 @@ type histogram = {
   counts : int array;
 }
 
+(* floor(log2 x) straight from the IEEE exponent field: exact at every
+   bucket edge (log-quotient rounding can misplace samples equal to a
+   power of two) and free of the transcendental, so hot accounting paths
+   can bin with it. Inlined: a call would box [x]. *)
+let[@inline] log2_bucket ~buckets x =
+  if x < 1.0 then 0
+  else begin
+    let b =
+      (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52)
+      land 0x7FF)
+      - 1023
+    in
+    if b >= buckets then buckets - 1 else b
+  end
+
+let log_edges ~base ~buckets =
+  Array.init buckets (fun i -> base ** float_of_int i)
+
 let log_histogram ~base ~buckets xs =
   assert (base > 1.0 && buckets > 0);
   let counts = Array.make buckets 0 in
@@ -101,27 +119,15 @@ let log_histogram ~base ~buckets xs =
     if Float.is_nan x || x < 0.0 then
       invalid_arg
         (Printf.sprintf "Stats.log_histogram: negative or NaN input %g" x)
+    else if base = 2.0 then log2_bucket ~buckets x
     else if x < 1.0 then 0
     else begin
-      (* For base 2, read floor(log2 x) straight from the IEEE exponent
-         field: exact at every bucket edge (log-quotient rounding can
-         misplace samples equal to a power of the base) and free of the
-         transcendental on hot accounting paths that must agree with
-         this bucketing bit-for-bit. *)
-      let b =
-        if base = 2.0 then
-          (Int64.to_int
-             (Int64.shift_right_logical (Int64.bits_of_float x) 52)
-          land 0x7FF)
-          - 1023
-        else int_of_float (Float.floor (log x /. log base))
-      in
+      let b = int_of_float (Float.floor (log x /. log base)) in
       if b >= buckets then buckets - 1 else b
     end
   in
   List.iter (fun x -> counts.(bucket_of x) <- counts.(bucket_of x) + 1) xs;
-  let bucket_lo = Array.init buckets (fun i -> base ** float_of_int i) in
-  { bucket_lo; counts }
+  { bucket_lo = log_edges ~base ~buckets; counts }
 
 (* Percentile extraction from a log histogram, interpolating the
    empirical CDF linearly inside the covering bucket. Bucket edges are

@@ -50,6 +50,16 @@ val log_histogram : base:float -> buckets:int -> float list -> histogram
     migration-point interval distributions (Figs. 3-5) and the obs metrics
     registry. *)
 
+val log2_bucket : buckets:int -> float -> int
+(** The base-2 bucket of {!log_histogram}: [floor(log2 x)] read from the
+    IEEE exponent field, [0] below 1, clamped to [buckets - 1]. It does
+    not check its input: NaN lands in the last bucket, negatives in
+    bucket 0. *)
+
+val log_edges : base:float -> buckets:int -> float array
+(** The [bucket_lo] array {!log_histogram} records: [base^i] for each
+    bucket [i]. *)
+
 val percentile : histogram -> float -> float
 (** [percentile h q] with [q] in [\[0,1\]]: the value below which a
     fraction [q] of the histogram's samples fall, interpolating the

@@ -1,5 +1,5 @@
-(* The hetmig audit subsystem: the schedule verifier, the island race
-   detector, and the determinism certifier — plus the seeded-corruption
+(* The hetmig audit subsystem: the schedule verifier, the island
+   ownership check, and the determinism certifier — plus the seeded-corruption
    corpus proving every rule can actually fail, and the clean-corpus
    runs proving the committed scenarios pass.
 
@@ -38,9 +38,6 @@ let verify cap =
 
 (* --- the well-formed baseline capture ----------------------------------- *)
 
-let touch ~owner ~resource ~write =
-  { I.t_owner = owner; t_resource = resource; t_write = write }
-
 let exec ~isl ~time ~seq ~src ~clock ~window ~before ~after ~touches =
   {
     I.x_isl = isl;
@@ -57,27 +54,27 @@ let exec ~isl ~time ~seq ~src ~clock ~window ~before ~after ~touches =
 (* Two islands, lookahead 1.0. Window 0 spans [0, 1): island 0 runs
    (0.0, 0, 0) and posts to island 1 with delay 1.5; island 1 runs
    (0.5, 1, 1). Window 1 spans [1.5, 2.5): island 1 runs the delivered
-   (1.5, 2, 0); island 0 runs (1.8, 3, 0). Each island touches only the
-   resource it owns (island i owns resource i). *)
+   (1.5, 2, 0); island 0 runs (1.8, 3, 0). Each island touches only its
+   own state. *)
 let exec_a =
   exec ~isl:0 ~time:0.0 ~seq:0 ~src:0 ~clock:0.0 ~window:0 ~before:10L
     ~after:11L
-    ~touches:[ touch ~owner:0 ~resource:0 ~write:true ]
+    ~touches:[ 0 ]
 
 let exec_b =
   exec ~isl:1 ~time:0.5 ~seq:1 ~src:1 ~clock:0.0 ~window:0 ~before:20L
     ~after:20L
-    ~touches:[ touch ~owner:1 ~resource:1 ~write:true ]
+    ~touches:[ 1 ]
 
 let exec_c =
   exec ~isl:1 ~time:1.5 ~seq:2 ~src:0 ~clock:0.5 ~window:1 ~before:20L
     ~after:22L
-    ~touches:[ touch ~owner:1 ~resource:1 ~write:true ]
+    ~touches:[ 1 ]
 
 let exec_d =
   exec ~isl:0 ~time:1.8 ~seq:3 ~src:0 ~clock:0.0 ~window:1 ~before:11L
     ~after:11L
-    ~touches:[ touch ~owner:0 ~resource:0 ~write:false ]
+    ~touches:[ 0 ]
 
 let base_post =
   {
@@ -222,65 +219,45 @@ let seeded_empty_capture () =
   checki "as info, not error" 0 (D.errors ds)
 
 let seeded_island_race () =
-  (* Island 0's window-1 event writes island 1's resource while island 1
-     touches it in the same window: no barrier between them, so no
-     happens-before edge — the ownership contract breach. *)
-  let d' =
-    { exec_d with I.x_touches = [ touch ~owner:1 ~resource:1 ~write:true ] }
-  in
+  (* Island 0's window-1 event touches island 1's state: the ownership
+     contract breach, in the same window as island 1's own touch. *)
+  let d' = { exec_d with I.x_touches = [ 1 ] } in
   let cap = { base_cap with I.c_execs = [| [ exec_a; d' ]; [ exec_b; exec_c ] |] } in
   let ds = verify cap in
   only "island-race" ds;
   checkb "verdict names the owner" true
     (List.exists
        (fun (d : D.t) ->
-         d.D.rule = "island-race" && contains d.D.message "owner island 1")
+         d.D.rule = "island-race" && contains d.D.message "owned by island 1")
        ds)
 
-(* The cross-window version of the same touch pattern must NOT race:
-   the window barrier is the happens-before edge. *)
-let cross_window_touch_is_ordered () =
-  (* Island 0 touches island 1's resource in window 0; island 1 touches
-     it in window 1. The barrier between the windows orders them. *)
-  let a' =
-    { exec_a with I.x_touches = [ touch ~owner:1 ~resource:1 ~write:true ] }
-  in
+(* The cross-window version of the same touch is the same breach: no
+   other island touches island 1's state in window 0, and the owner's
+   own touch comes a window later, but the toucher is still not the
+   owner. *)
+let cross_window_touch_is_flagged () =
+  let a' = { exec_a with I.x_touches = [ 1 ] } in
   let b' = { exec_b with I.x_touches = [] } in
   let cap = { base_cap with I.c_execs = [| [ a'; exec_d ]; [ b'; exec_c ] |] } in
-  checki "barrier orders cross-window touches" 0
-    (count_rule "island-race" (verify cap))
+  only "island-race" (verify cap)
 
-(* --- Race.Barrier semantics --------------------------------------------- *)
-
-let acc u page write = Analysis.Race.Access { unit_ = u; page; write }
-
-let race_barrier_orders_all () =
-  let detect = Analysis.Race.detect in
-  checki "barrier orders the pair" 0
-    (List.length
-       (detect ~units:2 [ acc 0 7 true; Analysis.Race.Barrier; acc 1 7 true ]));
-  checki "without it the pair races" 1
-    (List.length (detect ~units:2 [ acc 0 7 true; acc 1 7 true ]));
-  (* All-to-all: the barrier orders every unit against every other,
-     in both directions at once. *)
-  checki "barrier is all-to-all" 0
-    (List.length
-       (detect ~units:3
-          [
-            acc 0 7 true;
-            acc 1 8 true;
-            acc 2 9 true;
-            Analysis.Race.Barrier;
-            acc 2 7 true;
-            acc 0 8 true;
-            acc 1 9 true;
-          ]));
-  (* Same-side accesses are still unordered: the barrier creates no
-     edge between two units' touches within one window. *)
-  checki "same-side accesses still race" 1
-    (List.length
-       (detect ~units:2
-          [ Analysis.Race.Barrier; acc 0 7 true; acc 1 7 true ]))
+(* One diagnostic per (executing island, owner) pair, in island order. *)
+let race_report_cap () =
+  let a' = { exec_a with I.x_touches = [ 1; 1 ] } in
+  let d' = { exec_d with I.x_touches = [ 1 ] } in
+  let same_pair =
+    { base_cap with I.c_execs = [| [ a'; d' ]; [ exec_b; exec_c ] |] }
+  in
+  only "island-race" (verify same_pair);
+  let c' = { exec_c with I.x_touches = [ 0 ] } in
+  let two_pairs =
+    { base_cap with I.c_execs = [| [ a'; d' ]; [ exec_b; c' ] |] }
+  in
+  let ds = verify two_pairs in
+  checki "two pairs, two diagnostics" 2 (count_rule "island-race" ds);
+  Alcotest.(check (list (option string)))
+    "island order" [ Some "island-0"; Some "island-1" ]
+    (List.map (fun (d : D.t) -> d.D.loc.D.func) ds)
 
 (* --- determinism certifier ---------------------------------------------- *)
 
@@ -378,6 +355,32 @@ let crashy_serve_capture_is_clean () =
   let _, cap = Sched.Service.run_audited ~domains:2 cfg in
   checki "crashy serve capture certifies clean" 0 (List.length (verify cap))
 
+let fleet_non_owner_touch () =
+  (* One node-island event of a real capture rewritten to touch the
+     scheduler island's state: exactly one diagnostic, naming both. *)
+  let _, cap = Sched.Cluster.run_audited ~domains:2 small_fleet in
+  let rewritten = ref false in
+  let node1 =
+    List.map
+      (fun (x : I.exec_rec) ->
+        if (not !rewritten) && x.I.x_touches <> [] then begin
+          rewritten := true;
+          { x with I.x_touches = [ 0 ] }
+        end
+        else x)
+      cap.I.c_execs.(1)
+  in
+  checkb "node island 1 touched its state" true !rewritten;
+  let execs = Array.copy cap.I.c_execs in
+  execs.(1) <- node1;
+  let ds = verify { cap with I.c_execs = execs } in
+  only "island-race" ds;
+  checkb "names the executing island and the owner" true
+    (List.exists
+       (fun (d : D.t) ->
+         contains d.D.message "on island 1 touched state owned by island 0")
+       ds)
+
 let audited_run_matches_plain () =
   (* Capture is pure observation: the audited run's render must be
      byte-identical to the plain run's. *)
@@ -439,8 +442,8 @@ let suite =
     ("seeded: calendar tripwire", `Quick, seeded_calendar_order);
     ("seeded: empty capture", `Quick, seeded_empty_capture);
     ("seeded: non-owner race", `Quick, seeded_island_race);
-    ("cross-window touch is ordered", `Quick, cross_window_touch_is_ordered);
-    ("race barrier semantics", `Quick, race_barrier_orders_all);
+    ("cross-window touch is flagged", `Quick, cross_window_touch_is_flagged);
+    ("seeded: one race per island pair", `Quick, race_report_cap);
     ("certify: identical runs", `Quick, certify_identical_is_silent);
     ("certify: log divergence", `Quick, certify_log_divergence);
     ("certify: render divergence", `Quick, certify_render_divergence);
@@ -449,6 +452,7 @@ let suite =
     ("corpus: cluster capture clean", `Quick, cluster_capture_is_clean);
     ("corpus: serve capture clean", `Quick, serve_capture_is_clean);
     ("corpus: crashy serve clean", `Quick, crashy_serve_capture_is_clean);
+    ("corpus: fleet non-owner touch", `Quick, fleet_non_owner_touch);
     ("corpus: capture is pure observation", `Quick, audited_run_matches_plain);
     ("audit: small corpus clean", `Slow, audit_small_corpus_clean);
     ("audit: json stable across jobs", `Quick, audit_json_stable_across_jobs);

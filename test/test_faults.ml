@@ -301,6 +301,33 @@ let zero_plan_byte_identical () =
         true (plain = zeroed))
     Sched.Policy.all
 
+let plan_free_run_is_zero_plan_run () =
+  (* A run given no plan runs under the zero plan, message statistics
+     and trace included. *)
+  let run ?faults () =
+    let obs = Obs.create () in
+    let r =
+      Sched.Scheduler.run ?faults ~obs Sched.Policy.Dynamic_unbalanced
+        (sustained_jobs ~seed:5 12)
+    in
+    ( Format.asprintf "%a" Sched.Scheduler.pp_result r,
+      Obs.chrome_json obs,
+      Obs.metrics_text obs )
+  in
+  let r0, trace0, metrics0 = run () in
+  let r1, trace1, metrics1 = run ~faults:Faults.Plan.zero () in
+  Alcotest.(check string) "pp_result" r1 r0;
+  Alcotest.(check string) "chrome_json" trace1 trace0;
+  Alcotest.(check string) "metrics_text" metrics1 metrics0;
+  let attempts =
+    List.find
+      (fun l -> String.starts_with ~prefix:"msg.thread_migration.attempts " l)
+      (String.split_on_char '\n' metrics0)
+  in
+  checkb "migrations counted their attempts" true
+    (int_of_string (List.hd (List.rev (String.split_on_char ' ' attempts)))
+    > 0)
+
 let faulty_run_deterministic () =
   let plan = Faults.Plan.uniform ~seed:5 ~drop:0.2 () in
   let jobs = sustained_jobs ~seed:4 8 in
@@ -415,6 +442,8 @@ let suite =
     ("message retry budget exhaustion", `Quick, message_retry_exhaustion);
     ("migration abort rolls back to source", `Quick, migration_abort_rolls_back);
     ("zero fault plan is byte-identical", `Quick, zero_plan_byte_identical);
+    ("plan-free run equals zero-plan run", `Quick,
+     plan_free_run_is_zero_plan_run);
     ("faulty runs are deterministic", `Quick, faulty_run_deterministic);
     ("node crash re-admits or fails orphans", `Quick, crash_reclaims_orphans);
     QCheck_alcotest.to_alcotest retry_roundtrip_prop;
