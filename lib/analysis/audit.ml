@@ -1,12 +1,12 @@
 (* `hetmig audit` driver: run the committed parallel-runtime scenarios
    with capture enabled and push the recorded executions through the
-   schedule verifier, the island race detector, and the determinism
+   schedule verifier, the island ownership check, and the determinism
    certifier.
 
    Per scenario (fleet, cluster, serve):
 
      - base: the scenario runs audited at domains=1 and domains=N; the
-       d=1 capture is schedule-verified and race-checked, and the two
+       d=1 capture is schedule-verified and ownership-checked, and the two
        runs are certified against each other (captures elementwise,
        then renders line-by-line);
      - seed and epoch variants: plain runs at both domain counts,

@@ -3,7 +3,7 @@
 
     Each scenario runs with the {!Sim.Islands} audit capture enabled
     and its recorded execution flows through {!Islands_check} (schedule
-    verifier), {!Island_race} (ownership race detector), and
+    verifier), {!Island_race} (ownership check), and
     {!Determinism_check} (domains=1 vs domains=N certification, plus
     seed/epoch sensitivity probes). The scheduler scenario certifies a
     repeat run, on the warm process-wide phase memo, against the
