@@ -41,16 +41,16 @@ let fault_for t ~kind =
    bit-identical to a plan-free run. *)
 let bernoulli t p = p > 0.0 && Sim.Prng.float t.rng 1.0 < p
 
-let drop_attempt t ~kind =
-  match fault_for t ~kind with
+let drop_attempt t fault =
+  match fault with
   | None -> false
   | Some f ->
     let hit = bernoulli t f.Plan.drop in
     if hit then t.drops <- t.drops + 1;
     hit
 
-let delivery_delay t ~kind =
-  match fault_for t ~kind with
+let delivery_delay t fault =
+  match fault with
   | None -> 0.0
   | Some f ->
     if bernoulli t f.Plan.delay then f.Plan.delay_s else 0.0

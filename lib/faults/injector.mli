@@ -18,13 +18,20 @@ val create : Plan.t -> kinds:string list -> t
 
 val plan : t -> Plan.t
 
-val drop_attempt : t -> kind:string -> bool
-(** Does the plan lose this send attempt? Draws from the PRNG only when
-    the configured drop probability is positive, so a zero plan leaves
-    the stream untouched. *)
+val fault_for : t -> kind:string -> Plan.msg_fault option
+(** The plan's entry for message kind [kind], else its ["*"] entry, else
+    [None]. A sender resolves each kind once and passes the result to
+    {!drop_attempt} and {!delivery_delay}, so a send hashes no name. *)
 
-val delivery_delay : t -> kind:string -> float
-(** Extra latency for a delivered message (0. when not delayed). *)
+val drop_attempt : t -> Plan.msg_fault option -> bool
+(** Does the plan lose this send attempt of a kind whose entry
+    ({!fault_for}) is the given one? Draws from the PRNG only when the
+    configured drop probability is positive, so a zero plan leaves the
+    stream untouched. *)
+
+val delivery_delay : t -> Plan.msg_fault option -> float
+(** Extra latency for a delivered message of a kind whose entry is the
+    given one (0. when not delayed). *)
 
 val page_timeout : t -> bool
 (** Does this phase's DSM page traffic time out once? *)

@@ -1,6 +1,8 @@
 type kind = Thread_migration | Page_request | Page_reply | Service_update
 
-let all_kinds = [ Thread_migration; Page_request; Page_reply; Service_update ]
+(* In [kind_index] order. *)
+let kinds = [| Thread_migration; Page_request; Page_reply; Service_update |]
+let all_kinds = Array.to_list kinds
 
 let kind_to_string = function
   | Thread_migration -> "thread_migration"
@@ -15,6 +17,13 @@ let kind_index = function
   | Page_reply -> 2
   | Service_update -> 3
 
+(* The per-kind counter names, built once, by [kind_index]. *)
+let kind_metrics prefix = Array.map (fun k -> prefix ^ kind_to_string k) kinds
+
+let sent_metric = kind_metrics "msg.sent."
+let dropped_metric = kind_metrics "msg.dropped."
+let failed_metric = kind_metrics "msg.failed."
+
 type retry_stats = {
   mutable attempts : int;
   mutable delivered : int;
@@ -23,13 +32,17 @@ type retry_stats = {
   mutable failed : int;
 }
 
+(* Every per-kind table is an array indexed by [kind_index], and the
+   plan's fault entry of each kind is resolved once, at [create], so a
+   send looks up no name and allocates no option. *)
 type t = {
   engine : Sim.Engine.t;
   interconnect : Machine.Interconnect.t;
   faults : Faults.Injector.t;
+  kind_faults : Faults.Plan.msg_fault option array;
   obs : Obs.t;
-  counts : (kind, int) Hashtbl.t;
-  retries : (kind, retry_stats) Hashtbl.t;
+  counts : int array;
+  retries : retry_stats array;
   mutable bytes : int;
   mutable messages : int;
 }
@@ -54,27 +67,28 @@ let create ?faults ?(obs = Obs.noop) engine interconnect =
     engine;
     interconnect;
     faults;
+    kind_faults =
+      Array.map
+        (fun k -> Faults.Injector.fault_for faults ~kind:(kind_to_string k))
+        kinds;
     obs;
-    counts = Hashtbl.create 8;
-    retries = Hashtbl.create 8;
+    counts = Array.make (Array.length kinds) 0;
+    retries =
+      Array.map
+        (fun _ ->
+          { attempts = 0; delivered = 0; dropped = 0; retried = 0; failed = 0 })
+        kinds;
     bytes = 0;
     messages = 0;
   }
 
-let retry_stats t kind =
-  match Hashtbl.find_opt t.retries kind with
-  | Some s -> s
-  | None ->
-    let s = { attempts = 0; delivered = 0; dropped = 0; retried = 0; failed = 0 } in
-    Hashtbl.replace t.retries kind s;
-    s
+let retry_stats t kind = t.retries.(kind_index kind)
 
-let count_attempt t kind ~bytes =
-  let n = match Hashtbl.find_opt t.counts kind with None -> 0 | Some n -> n in
-  Hashtbl.replace t.counts kind (n + 1);
+let count_attempt t i ~bytes =
+  t.counts.(i) <- t.counts.(i) + 1;
   t.bytes <- t.bytes + bytes;
   t.messages <- t.messages + 1;
-  Obs.incr t.obs ("msg.sent." ^ kind_to_string kind)
+  Obs.incr t.obs sent_metric.(i)
 
 (* One complete RPC span per message, from the first send attempt to
    delivery (or abandonment), on the interconnect track's per-kind row.
@@ -96,8 +110,9 @@ let send t kind ?on_failure ~bytes ~on_delivery () =
   if bytes < 0 then invalid_arg "Message.send: negative size";
   let latency = Machine.Interconnect.transfer_time t.interconnect ~bytes in
   let inj = t.faults in
-  let kind_name = kind_to_string kind in
-  let stats = retry_stats t kind in
+  let i = kind_index kind in
+  let fault = t.kind_faults.(i) in
+  let stats = t.retries.(i) in
   let budget = Faults.Injector.retry_budget inj in
   let t0 = Sim.Engine.now t.engine in
   (* Attempt [n] (0-based). A lost attempt is detected by timeout: the
@@ -108,17 +123,17 @@ let send t kind ?on_failure ~bytes ~on_delivery () =
      nothing and draws nothing, so a plan-free send is one attempt,
      delivered after exactly the transfer time. *)
   let rec attempt n =
-    count_attempt t kind ~bytes;
+    count_attempt t i ~bytes;
     stats.attempts <- stats.attempts + 1;
-    if Faults.Injector.drop_attempt inj ~kind:kind_name then begin
+    if Faults.Injector.drop_attempt inj fault then begin
       stats.dropped <- stats.dropped + 1;
-      Obs.incr t.obs ("msg.dropped." ^ kind_name);
+      Obs.incr t.obs dropped_metric.(i);
       if n + 1 < budget then begin
         stats.retried <- stats.retried + 1;
         let backoff = Faults.Injector.backoff ~attempt:(n + 1) in
         if Obs.enabled t.obs then
           Obs.instant t.obs ~ts:(Sim.Engine.now t.engine)
-            ~pid:Obs.interconnect_pid ~tid:(kind_index kind) ~cat:"rpc"
+            ~pid:Obs.interconnect_pid ~tid:i ~cat:"rpc"
             ~name:"retry"
             ~args:[ ("attempt", Obs.I (n + 1)); ("backoff_us", Obs.F (backoff *. 1e6)) ]
             ();
@@ -127,7 +142,7 @@ let send t kind ?on_failure ~bytes ~on_delivery () =
       end
       else begin
         stats.failed <- stats.failed + 1;
-        Obs.incr t.obs ("msg.failed." ^ kind_name);
+        Obs.incr t.obs failed_metric.(i);
         if Obs.enabled t.obs then
           rpc_span t kind ~t0 ~bytes ~attempts:(n + 1) ~failed:true;
         match on_failure with Some f -> f () | None -> ()
@@ -135,7 +150,7 @@ let send t kind ?on_failure ~bytes ~on_delivery () =
     end
     else begin
       stats.delivered <- stats.delivered + 1;
-      let extra = Faults.Injector.delivery_delay inj ~kind:kind_name in
+      let extra = Faults.Injector.delivery_delay inj fault in
       if Obs.enabled t.obs then
         Sim.Engine.schedule_in t.engine ~after:(latency +. extra) (fun () ->
             rpc_span t kind ~t0 ~bytes ~attempts:(n + 1) ~failed:false;
@@ -145,8 +160,7 @@ let send t kind ?on_failure ~bytes ~on_delivery () =
   in
   attempt 0
 
-let sent t kind =
-  match Hashtbl.find_opt t.counts kind with None -> 0 | Some n -> n
+let sent t kind = t.counts.(kind_index kind)
 
 let total_bytes t = t.bytes
 let total_messages t = t.messages

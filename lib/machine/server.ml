@@ -66,7 +66,9 @@ let[@inline] draw m mode ~load =
   | Asleep -> m.power.Power.sleep_w
   | Off -> 0.0
 
-let settle m ~now mode ~load =
+(* Inlined too, so that a caller's unboxed [now] (an island clock) stays
+   unboxed. *)
+let[@inline] settle m ~now mode ~load =
   m.acc.(0) <- m.acc.(0) +. ((now -. m.acc.(1)) *. draw m mode ~load);
   m.acc.(1) <- now
 

@@ -213,7 +213,9 @@ type stream = {
   sname : string;
   sservices : int;
   mutable remaining : int;  (* pulls left before cutoff; -1 = unlimited *)
-  mutable cur_at : float;
+  cur_at : float array;
+      (* one cell: a mutable float field of this record would box on
+         every pull *)
   mutable cur_svc : int;
   mutable cur_rid : int;  (* -1 before the first pull *)
   pull : stream -> bool;  (* advance the underlying cursor into cur_* *)
@@ -222,7 +224,7 @@ type stream = {
 
 let stream_name s = s.sname
 let stream_services s = s.sservices
-let at s = s.cur_at
+let at s = s.cur_at.(0)
 let svc s = s.cur_svc
 let rid s = s.cur_rid
 let close_stream s = s.sclose ()
@@ -238,15 +240,21 @@ let next s =
 
 (* Per-service incremental generator state for the Poisson-segment
    generators. [seg] iterates segments (MMPP sojourns or diurnal
-   slots); inside a segment [cand] holds the next already-drawn arrival
-   candidate (drawing it before testing the segment boundary is what
-   consumes the same overshoot draw the materialized code does). *)
-type seg_gen = {
-  g_rng : Sim.Prng.t;
-  mutable g_in_seg : bool;
+   slots); inside a segment [g_cand] holds the next already-drawn
+   arrival candidate (drawing it before testing the segment boundary is
+   what consumes the same overshoot draw the materialized code does).
+   The floats live in an all-float record, which stores them flat, so
+   advancing a generator boxes nothing. *)
+type seg_floats = {
   mutable g_seg_end : float;
   mutable g_mean : float;  (* 1/rate of the current segment *)
   mutable g_cand : float;  (* next candidate arrival when in_seg *)
+}
+
+type seg_gen = {
+  g_rng : Sim.Prng.t;
+  mutable g_in_seg : bool;
+  g_f : seg_floats;
   g_next_seg : seg_gen -> float option;
       (* open the next positive-rate segment: set g_seg_end/g_mean and
          return its start time, or None when the horizon is exhausted.
@@ -254,31 +262,41 @@ type seg_gen = {
          the materialized generators draw nothing for them either. *)
 }
 
-(* Advance one service's generator to its next arrival, returning
-   [infinity] at end of horizon (no finite-duration generator can
-   produce it, so it doubles as the merge sentinel without an option
-   box on the per-request path). Drawing the candidate before testing
-   the segment boundary consumes the same overshoot draw the
-   materialized [poisson_segment] does. *)
-let rec seg_gen_next g =
+let seg_gen g_rng g_next_seg =
+  {
+    g_rng;
+    g_in_seg = false;
+    g_f = { g_seg_end = 0.0; g_mean = 1.0; g_cand = 0.0 };
+    g_next_seg;
+  }
+
+(* Advance one service's generator to its next arrival and write it to
+   [cand.(i)], [infinity] at end of horizon (no finite-duration
+   generator can produce it, so it doubles as the merge sentinel).
+   Writing into the merge's slot instead of returning the float keeps
+   it unboxed. Drawing the candidate before testing the segment
+   boundary consumes the same overshoot draw the materialized
+   [poisson_segment] does. *)
+let rec seg_gen_next g cand i =
+  let f = g.g_f in
   if g.g_in_seg then begin
-    if g.g_cand < g.g_seg_end then begin
-      let a = g.g_cand in
-      g.g_cand <- a +. Sim.Prng.exponential g.g_rng ~mean:g.g_mean;
-      a
+    if f.g_cand < f.g_seg_end then begin
+      let a = f.g_cand in
+      cand.(i) <- a;
+      f.g_cand <- a +. Sim.Prng.exponential g.g_rng ~mean:f.g_mean
     end
     else begin
       g.g_in_seg <- false;
-      seg_gen_next g
+      seg_gen_next g cand i
     end
   end
   else
     match g.g_next_seg g with
     | Some seg_start ->
       g.g_in_seg <- true;
-      g.g_cand <- seg_start +. Sim.Prng.exponential g.g_rng ~mean:g.g_mean;
-      seg_gen_next g
-    | None -> Float.infinity
+      f.g_cand <- seg_start +. Sim.Prng.exponential g.g_rng ~mean:f.g_mean;
+      seg_gen_next g cand i
+    | None -> cand.(i) <- Float.infinity
 
 (* k-way merge of per-service generators on (at, svc), through a
    winner tree. Candidate slots hold each service's next undelivered
@@ -305,7 +323,7 @@ let merged_stream ~sname ~services gens =
     win.(k) <- (if cand.(r) < cand.(l) then r else l)
   in
   for i = 0 to p - 1 do
-    if i < services then cand.(i) <- seg_gen_next gens.(i);
+    if i < services then seg_gen_next gens.(i) cand i;
     win.(p + i) <- i
   done;
   for k = p - 1 downto 1 do
@@ -316,9 +334,9 @@ let merged_stream ~sname ~services gens =
     let best_at = cand.(best) in
     if best_at = Float.infinity then false
     else begin
-      s.cur_at <- best_at;
+      s.cur_at.(0) <- best_at;
       s.cur_svc <- best;
-      cand.(best) <- seg_gen_next gens.(best);
+      seg_gen_next gens.(best) cand best;
       let k = ref ((p + best) / 2) in
       while !k >= 1 do
         play !k;
@@ -331,7 +349,7 @@ let merged_stream ~sname ~services gens =
     sname;
     sservices = services;
     remaining = -1;
-    cur_at = 0.0;
+    cur_at = [| 0.0 |];
     cur_svc = -1;
     cur_rid = -1;
     pull;
@@ -369,20 +387,13 @@ let stream_bursty ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
             on := not !on;
             if rate <= 0.0 then next_seg g
             else begin
-              g.g_seg_end <- seg_end;
-              g.g_mean <- 1.0 /. rate;
+              g.g_f.g_seg_end <- seg_end;
+              g.g_f.g_mean <- 1.0 /. rate;
               Some seg_start
             end
           end
         in
-        {
-          g_rng = rng;
-          g_in_seg = false;
-          g_seg_end = 0.0;
-          g_mean = 1.0;
-          g_cand = 0.0;
-          g_next_seg = next_seg;
-        })
+        seg_gen rng next_seg)
   in
   merged_stream ~sname:(Printf.sprintf "bursty-s%d" seed) ~services gens
 
@@ -405,20 +416,13 @@ let stream_diurnal ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed ~services ~days
             incr slot;
             if rate <= 0.0 then next_seg g
             else begin
-              g.g_seg_end <- seg_start +. slot_s;
-              g.g_mean <- 1.0 /. rate;
+              g.g_f.g_seg_end <- seg_start +. slot_s;
+              g.g_f.g_mean <- 1.0 /. rate;
               Some seg_start
             end
           end
         in
-        {
-          g_rng = rng;
-          g_in_seg = false;
-          g_seg_end = 0.0;
-          g_mean = 1.0;
-          g_cand = 0.0;
-          g_next_seg = next_seg;
-        })
+        seg_gen rng next_seg)
   in
   merged_stream ~sname:(Printf.sprintf "diurnal-s%d" seed) ~services gens
 
@@ -431,7 +435,7 @@ let stream_of_trace trace =
     else begin
       let r = trace.requests.(!i) in
       incr i;
-      s.cur_at <- r.at;
+      s.cur_at.(0) <- r.at;
       s.cur_svc <- r.svc;
       true
     end
@@ -440,7 +444,7 @@ let stream_of_trace trace =
     sname = trace.tname;
     sservices = trace.services;
     remaining = -1;
-    cur_at = 0.0;
+    cur_at = [| 0.0 |];
     cur_svc = -1;
     cur_rid = -1;
     pull;
@@ -482,7 +486,7 @@ let stream_of_file path =
           bad_line path !line "trace not in canonical (at, svc) order";
         last_at := at;
         last_svc := svc;
-        s.cur_at <- at;
+        s.cur_at.(0) <- at;
         s.cur_svc <- svc;
         true)
   in
@@ -490,7 +494,7 @@ let stream_of_file path =
     sname = tname;
     sservices = services;
     remaining = -1;
-    cur_at = 0.0;
+    cur_at = [| 0.0 |];
     cur_svc = -1;
     cur_rid = -1;
     pull;

@@ -345,12 +345,14 @@ let run_impl ?(domains = 1) ~capture cfg =
           retried = 0;
         })
   in
-  (* A node's energy integral, brought up to [now] at its current draw. *)
-  let settle ns ~now =
+  (* A node's energy integral, brought up to [now] at its current draw.
+     Inlined, with [Machine.Server.settle]; the handlers below read the
+     island clock where they settle, so it is never boxed. *)
+  let[@inline] settle ns ~now =
     Machine.Server.settle ns.meter ~now Machine.Server.On ~load:ns.busy
   in
-  let adjust_busy ns ~now delta =
-    settle ns ~now;
+  let adjust_busy ns isl delta =
+    settle ns ~now:(Sim.Islands.now isl);
     ns.busy <- ns.busy + delta
   in
   let sched =
@@ -388,15 +390,15 @@ let run_impl ?(domains = 1) ~capture cfg =
   in
 
   (* --- node islands (island id = node_id + 1) -------------------------- *)
-  let detach ns (r : running) ~now =
-    adjust_busy ns ~now (-r.job.threads);
+  let detach ns (r : running) isl =
+    adjust_busy ns isl (-r.job.threads);
     ns.running <- List.filter (fun x -> x != r) ns.running
   in
   (* The job leaves the cluster, completed or failed; the scheduler
      hears at the next epoch. *)
-  let finish ns (r : running) isl ~now ~completed =
-    detach ns r ~now;
-    let latency = now -. r.job.arrival in
+  let finish ns (r : running) isl ~completed =
+    detach ns r isl;
+    let latency = Sim.Islands.now isl -. r.job.arrival in
     Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id) (fun isl ->
         touch_sched isl;
         sched.outstanding <- sched.outstanding - 1;
@@ -439,7 +441,6 @@ let run_impl ?(domains = 1) ~capture cfg =
 
   and phase_done (r : running) ns isl =
     touch_node isl ns;
-    let now = Sim.Islands.now isl in
     (* Failure draw only when the config can fail: a zero fail rate
        draws nothing, so it is byte-identical to a core without failure
        machinery. *)
@@ -448,7 +449,7 @@ let run_impl ?(domains = 1) ~capture cfg =
       && Sim.Prng.float (Sim.Islands.prng isl) 1.0 < cfg.fail_rate
     then begin
       if r.phase_retries >= max_phase_retries then
-        finish ns r isl ~now ~completed:false
+        finish ns r isl ~completed:false
       else begin
         r.phase_retries <- r.phase_retries + 1;
         ns.retried <- ns.retried + 1;
@@ -458,7 +459,7 @@ let run_impl ?(domains = 1) ~capture cfg =
     else begin
       r.phase_retries <- 0;
       r.remaining <- r.remaining - 1;
-      if r.remaining = 0 then finish ns r isl ~now ~completed:true
+      if r.remaining = 0 then finish ns r isl ~completed:true
       else if r.pending_dst >= 0 then begin
         (* Migration point: stop-and-copy to the commanded node. The
            thread state transforms, then the working set crosses its
@@ -468,7 +469,7 @@ let run_impl ?(domains = 1) ~capture cfg =
         let steal = r.pending_steal in
         r.pending_dst <- -1;
         r.pending_steal <- false;
-        detach ns r ~now;
+        detach ns r isl;
         ns.migrations_out <- ns.migrations_out + 1;
         let transform = 300e-6 *. float_of_int r.job.threads in
         let pages =
@@ -499,7 +500,7 @@ let run_impl ?(domains = 1) ~capture cfg =
     let ns = nodes.(Sim.Islands.id isl - 1) in
     touch_node isl ns;
     if steal then ns.steals_in <- ns.steals_in + 1;
-    adjust_busy ns ~now:(Sim.Islands.now isl) r.job.threads;
+    adjust_busy ns isl r.job.threads;
     ns.running <- r :: ns.running;
     run_phase r ns isl
 
@@ -510,7 +511,7 @@ let run_impl ?(domains = 1) ~capture cfg =
       { job; remaining = job.n_phases; cold = true; src_node = -1;
         phase_retries = 0; pending_dst = -1; pending_steal = false }
     in
-    adjust_busy ns ~now:(Sim.Islands.now isl) job.threads;
+    adjust_busy ns isl job.threads;
     ns.running <- r :: ns.running;
     run_phase r ns isl
 
@@ -697,11 +698,12 @@ let run_impl ?(domains = 1) ~capture cfg =
          than local. One theft per thief per epoch, and only from a
          load of at least 2.
 
-         Posts are only staged, so the estimates hold still for the
-         whole tick, and every thief sees the same maximum load [top]:
-         its victim is the lowest-index node at [top] in its own rack
-         if there is one, else the lowest-index node at [top]
-         overall. Both are found once per tick, not once per thief. *)
+         A post runs one lookahead later at the earliest, so the
+         estimates hold still for the whole tick, and every thief sees
+         the same maximum load [top]: its victim is the lowest-index
+         node at [top] in its own rack if there is one, else the
+         lowest-index node at [top] overall. Both are found once per
+         tick, not once per thief. *)
       let top = Array.fold_left Int.max 0 sched.est_load in
       if top >= 2 then begin
         Array.fill rack_victim 0 (Array.length rack_victim) (-1);

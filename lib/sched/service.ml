@@ -27,8 +27,9 @@
      - each service's sliding p99 window is a `Sim.Window_hist` with
        one entry per (epoch, latency bucket) and a count: adding a
        response's sample or pruning it is O(1) amortized, and the
-       window holds O(buckets x window_s / epoch_s) entries whatever
-       the request rate.
+       window, pruned at each SLO tick, holds
+       O(buckets x 2 window_s / epoch_s) entries whatever the request
+       rate.
 
    Services are replica groups: each service may run instances on
    several nodes at once, and the router picks among live replicas with
@@ -226,8 +227,9 @@ type ctrl_state = {
 (* A node's power mode: off when crashed, asleep when it hosts nothing
    and runs nothing (service-free servers sleep — the energy the SLO
    policy harvests by parking idle services on fewer machines), else on
-   at its in-flight request count. *)
-let settle ns ~now =
+   at its in-flight request count. Inlined, with [Machine.Server.settle],
+   so that the island clock a handler passes as [now] is never boxed. *)
+let[@inline] settle ns ~now =
   Machine.Server.settle ns.meter ~now
     (if ns.crashed then Machine.Server.Off
      else if ns.hosted_count = 0 && ns.busy = 0 then Machine.Server.Asleep
@@ -950,8 +952,11 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     done;
     b_touched_n := 0
   in
-  let route rid svc at isl =
+  (* Route the stream's current request. Reading it here, not taking it
+     as arguments, keeps its arrival time unboxed. *)
+  let route isl =
     touch_ctrl isl;
+    let at = Arrival.at stream and svc = Arrival.svc stream in
     ctrl.arrived <- ctrl.arrived + 1;
     if slo_aware then ctrl.last_arr.(svc) <- at;
     Obs.incr obs "serve.arrived";
@@ -973,7 +978,7 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
         b_key.(node) <- grow_int b_key.(node);
         b_at.(node) <- grow_float b_at.(node)
       end;
-      b_key.(node).(n) <- (rid lsl svc_bits) lor svc;
+      b_key.(node).(n) <- (Arrival.rid stream lsl svc_bits) lor svc;
       b_at.(node).(n) <- at;
       b_n.(node) <- n + 1
     end
@@ -990,15 +995,13 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
      resolution the epoch-batched transport gives it. *)
   let rec pump_ev isl =
     touch_ctrl isl;
-    let t0 = Arrival.at stream in
-    let boundary = t0 +. epoch in
-    route (Arrival.rid stream) (Arrival.svc stream) t0 isl;
+    let boundary = Arrival.at stream +. epoch in
+    route isl;
     let continue = ref true in
     while !continue do
       if Arrival.next stream then begin
         let at = Arrival.at stream in
-        if at < boundary then
-          route (Arrival.rid stream) (Arrival.svc stream) at isl
+        if at < boundary then route isl
         else begin
           Sim.Islands.schedule isl ~at pump_ev;
           continue := false
@@ -1048,7 +1051,10 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
       (land_cmd svc ctrl.gen.(svc) (Sim.Ring.create ()))
   in
   (* Sliding-window upkeep: drop the expired (time, bucket) entries
-     off each service's window. *)
+     off each service's window. Only the SLO tick prunes, just before it
+     reads the windows; between two ticks a window gains at most
+     window_s / epoch_s epochs of entries, so it holds
+     O(buckets x 2 window_s / epoch_s) of them. *)
   let prune_windows now =
     let horizon = now -. cfg.window_s in
     for s = 0 to Array.length ctrl.lat_win - 1 do
@@ -1154,18 +1160,17 @@ let run_impl ?(domains = 1) ?(obs = Obs.noop) ~capture cfg =
     if not (serving_done ()) then
       Sim.Islands.schedule_in isl ~after:cfg.window_s (fun isl -> tick isl)
   in
-  (* Per-epoch heartbeat on the controller island: prunes the sliding
-     windows between policy ticks (keeping window memory proportional
-     to the window, not the run) and — when observability is on — samples
-     the process GC into the metrics registry, which is how the
-     allocation-light claim is checked from a `--metrics` dump. The
-     event itself runs regardless of [obs], so instrumented and plain
-     runs execute identical event schedules and render byte-identical
-       reports. GC figures never feed back into the simulation. *)
+  (* Per-epoch heartbeat on the controller island: when observability is
+     on, it samples the process GC into the metrics registry, which is
+     how the allocation-light claim is checked from a `--metrics` dump.
+     The event runs regardless of [obs] (it is part of the schedule that
+     the rendered [events] and [windows] counts pin), so instrumented and
+     plain runs execute identical event schedules and render
+     byte-identical reports. GC figures never feed back into the
+     simulation. *)
   let gc_prev_minor = ref 0.0 in
   let rec heartbeat isl =
     touch_ctrl isl;
-    if slo_aware then prune_windows (Sim.Islands.now isl);
     if Obs.enabled obs then begin
       (* [Gc.minor_words] counts the words allocated so far; the
          [quick_stat] field only moves when a minor collection ends. *)

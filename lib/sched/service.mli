@@ -67,8 +67,9 @@ type config = {
   policy : policy;
   window_s : float;
       (** sliding window for the p99 estimate. Each service's window
-          holds at most one entry per (epoch, latency bucket) in it:
-          O(buckets × [window_s] / [epoch_s]) words, whatever the
+          holds at most one entry per (epoch, latency bucket) in it and
+          is pruned at each SLO tick, one window apart:
+          O(buckets × 2 [window_s] / [epoch_s]) words, whatever the
           request rate. *)
   demand_instructions : float;  (** mean per-request work *)
   demand_sigma : float;  (** lognormal sigma of per-request work *)

@@ -21,11 +21,16 @@
    executing at time [t >= next] can only post cross-island work
    arriving at [t + after >= next + lookahead = window_end], i.e.
    strictly outside the current window — no island can ever receive an
-   event earlier than something it already executed. Cross-island
-   deliveries are staged in one buffer per sending island, each post
-   tagged with its destination, and pushed into the destination
-   calendars at the window barrier; because calendar keys are globally
-   unique, push order is irrelevant to execution order.
+   event earlier than something it already executed. So a window that
+   runs on one lane (every window at [domains:1], an inline window at
+   [domains >= 2], and set-up code outside [run]) pushes each post
+   straight into its destination's calendar: the event lies beyond the
+   window's end, so no island runs it before the window closes. Only a
+   window whose lanes run in parallel stages its posts, in one buffer
+   per sending island, each post tagged with its destination, and
+   pushes them into the destination calendars at the window barrier;
+   because calendar keys are globally unique, push order is irrelevant
+   to execution order.
 
    Determinism: sequence numbers are drawn from per-island counters
    (advanced only by that island's own execution, which is sequential),
@@ -93,29 +98,30 @@ type island_cap = {
 
 type island = {
   id : int;
-  n_islands : int;
+  rt : t;
   out_lookahead : float array;
       (* per-destination minimum post delay — the topology-aware post
          contract: this island's row of the edge matrix, or the one
          uniform row every island shares *)
   cal : (island -> unit) Calendar.t;
-  mutable clock : float;
+  clock : float array;
+      (* one cell, as [Calendar.last_time]: a mutable float field of this
+         record would box on every event *)
   mutable next_seq : int;
   prng : Prng.t;
-  staged : staging;  (* this window's cross-island posts *)
+  staged : staging;  (* a lane-parallel window's cross-island posts *)
   mutable executed : int;
   cap : island_cap option;
   mutable cur_window : int;  (* window index while executing *)
 }
 
-(* One window's cross-island posts from a single island, in post order,
-   struct-of-arrays with a destination lane. The slots are recycled
-   across windows (capacity grows by doubling, never shrinks), so a
-   steady cross-island message rate stages and delivers whole epochs of
-   traffic with zero allocation — the batch-post path that keeps
-   barrier cost amortized at millions-of-requests rates. The sender is
-   the island that owns the buffer, so (time, seq, dst, act) is staged
-   per message, and the memory is O(islands + traffic). *)
+(* One lane-parallel window's cross-island posts from a single island,
+   in post order, struct-of-arrays with a destination lane. The slots
+   are recycled across windows (capacity grows by doubling, never
+   shrinks), so a steady cross-island message rate stages and delivers
+   whole epochs of traffic with zero allocation. The sender is the
+   island that owns the buffer, so (time, seq, dst, act) is staged per
+   message, and the memory is O(islands + traffic). *)
 and staging = {
   mutable s_times : float array;
   mutable s_seqs : int array;
@@ -124,16 +130,19 @@ and staging = {
   mutable s_n : int;
 }
 
-type t = {
+and t = {
   lookahead : float;  (* window lookahead: min over all edges *)
   edge : float array array;  (* [||] when uniform *)
-  islands : island array;
+  mutable islands : island array;  (* set once, right after [create] *)
   heads : float array;
       (* each island's earliest pending event time, [infinity] when its
          calendar is empty; exact at every window start (see [run]) *)
   active : int array;  (* the window's islands with work, ascending *)
   mutable n_active : int;
   mutable windows : int;
+  mutable staging : bool;
+      (* a window's lanes are running in parallel: posts stage until its
+         barrier. Off everywhere else, so a post delivers in place. *)
   cap_on : bool;
   prng0 : int64 array;  (* per-island fingerprints at creation (capture) *)
   mutable cap_barriers : barrier_rec list;  (* reversed *)
@@ -210,14 +219,20 @@ let create ?(capture = false) ?edge_lookahead ~islands:n
   in
   let uniform = if edge = [||] then Array.make n lookahead else [||] in
   let master = Prng.create seed in
-  let islands =
+  let t =
+    { lookahead = window_lookahead; edge; islands = [||];
+      heads = Array.make n Float.infinity; active = Array.make n 0;
+      n_active = 0; windows = 0; staging = false; cap_on = capture;
+      prng0 = (if capture then Array.make n 0L else [||]); cap_barriers = [] }
+  in
+  t.islands <-
     Array.init n (fun id ->
         {
           id;
-          n_islands = n;
+          rt = t;
           out_lookahead = (if edge = [||] then uniform else edge.(id));
           cal = Calendar.create ~check_order:capture ~dummy:noop_action ();
-          clock = 0.0;
+          clock = [| 0.0 |];
           next_seq = 0;
           prng = Prng.split master;
           staged = empty_staging ();
@@ -227,33 +242,58 @@ let create ?(capture = false) ?edge_lookahead ~islands:n
                Some { k_execs = []; k_posts = []; k_touches = [] }
              else None);
           cur_window = 0;
-        })
-  in
-  let prng0 =
-    if capture then Array.map (fun isl -> Prng.fingerprint isl.prng) islands
-    else [||]
-  in
-  { lookahead = window_lookahead; edge; islands;
-    heads = Array.make n Float.infinity; active = Array.make n 0; n_active = 0;
-    windows = 0; cap_on = capture; prng0; cap_barriers = [] }
+        });
+  if capture then
+    Array.iteri (fun i isl -> t.prng0.(i) <- Prng.fingerprint isl.prng) t.islands;
+  t
 
 let island t id = t.islands.(id)
 let id isl = isl.id
-let now isl = isl.clock
+let[@inline] now isl = isl.clock.(0)
 let prng isl = isl.prng
 
 let schedule isl ~at act =
-  if at < isl.clock then
+  if at < now isl then
     invalid_arg
       (Printf.sprintf "Islands.schedule: at=%g is before island %d now=%g" at
-         isl.id isl.clock);
+         isl.id (now isl));
   Calendar.push isl.cal ~time:at ~src:isl.id ~seq:isl.next_seq act;
   isl.next_seq <- isl.next_seq + 1
 
-let schedule_in isl ~after act = schedule isl ~at:(isl.clock +. after) act
+let schedule_in isl ~after act = schedule isl ~at:(now isl +. after) act
+
+let stage st ~time ~seq ~dst act =
+  if st.s_n = Array.length st.s_times then staging_grow st;
+  let i = st.s_n in
+  st.s_times.(i) <- time;
+  st.s_seqs.(i) <- seq;
+  st.s_dsts.(i) <- dst;
+  st.s_acts.(i) <- act;
+  st.s_n <- i + 1
+
+(* Push one cross-island event into its destination's calendar and lower
+   the destination's head time to it: a post outside a lane-parallel
+   window, and the barrier's delivery of a staged one. *)
+let push_to t ~dst ~time ~src ~seq act =
+  Calendar.push t.islands.(dst).cal ~time ~src ~seq act;
+  if time < t.heads.(dst) then t.heads.(dst) <- time
+
+let record_post cap isl ~dst ~after ~time =
+  cap.k_posts <-
+    {
+      p_src = isl.id;
+      p_dst = dst;
+      p_send_time = now isl;
+      p_after = after;
+      p_deliver_time = time;
+      p_seq = isl.next_seq;
+      p_window = isl.cur_window;
+    }
+    :: cap.k_posts
 
 let post isl ~dst ~after act =
-  if dst < 0 || dst >= isl.n_islands then
+  let rt = isl.rt in
+  if dst < 0 || dst >= Array.length rt.islands then
     invalid_arg (Printf.sprintf "Islands.post: unknown island %d" dst);
   if after < isl.out_lookahead.(dst) then
     invalid_arg
@@ -262,29 +302,13 @@ let post isl ~dst ~after act =
          after isl.out_lookahead.(dst) isl.id dst);
   if dst = isl.id then schedule_in isl ~after act
   else begin
-    let st = isl.staged in
-    if st.s_n = Array.length st.s_times then staging_grow st;
-    let i = st.s_n in
-    st.s_times.(i) <- isl.clock +. after;
-    st.s_seqs.(i) <- isl.next_seq;
-    st.s_dsts.(i) <- dst;
-    st.s_acts.(i) <- act;
-    st.s_n <- i + 1;
+    let time = now isl +. after and seq = isl.next_seq in
+    if rt.staging then stage isl.staged ~time ~seq ~dst act
+    else push_to rt ~dst ~time ~src:isl.id ~seq act;
     (match isl.cap with
     | None -> ()
-    | Some cap ->
-        cap.k_posts <-
-          {
-            p_src = isl.id;
-            p_dst = dst;
-            p_send_time = isl.clock;
-            p_after = after;
-            p_deliver_time = isl.clock +. after;
-            p_seq = isl.next_seq;
-            p_window = isl.cur_window;
-          }
-          :: cap.k_posts);
-    isl.next_seq <- isl.next_seq + 1
+    | Some cap -> record_post cap isl ~dst ~after ~time);
+    isl.next_seq <- seq + 1
   end
 
 (* Ownership observer hook for the audit layer: models (Sched.Cluster,
@@ -311,8 +335,8 @@ let run_island_window isl ~window ~until =
     let act = Calendar.pop_before cal until in
     if act == noop_action then continue := false
     else begin
-      let clock_before = isl.clock in
-      isl.clock <- Calendar.last_time cal;
+      let clock_before = isl.clock.(0) in
+      isl.clock.(0) <- Calendar.last_time cal;
       isl.executed <- isl.executed + 1;
       match isl.cap with
       | None -> act isl
@@ -362,34 +386,28 @@ let collect_active t ~until =
   done;
   t.n_active <- !n
 
-(* Push every message [src] staged into its destination's calendar and
-   lower the destination's head time to it. Calendar keys are unique,
-   so the push order cannot change the pop order. Action slots are
-   nulled out after the push so recycled buffers never retain closures
-   across windows. *)
-let deliver_from t src =
-  let st = src.staged in
-  for i = 0 to st.s_n - 1 do
-    let dst = st.s_dsts.(i) and time = st.s_times.(i) in
-    Calendar.push t.islands.(dst).cal ~time ~src:src.id ~seq:st.s_seqs.(i)
-      st.s_acts.(i);
-    if time < t.heads.(dst) then t.heads.(dst) <- time;
-    st.s_acts.(i) <- noop_action
-  done;
-  st.s_n <- 0
-
-(* The window barrier's delivery, single-threaded. Only an island that
-   ran can have posted, so only the active islands' buffers are
-   visited: the cost is one visit per active island plus one push per
-   message. *)
+(* A lane-parallel window's barrier delivery, single-threaded: every
+   message an active island staged goes to its destination's calendar.
+   Only an island that ran can have staged, so the cost is one visit
+   per active island plus one push per message. Calendar keys are
+   unique, so the push order cannot change the pop order. Action slots
+   are nulled out after the push so recycled buffers never retain
+   closures across windows. *)
 let deliver t =
   for k = 0 to t.n_active - 1 do
-    deliver_from t t.islands.(t.active.(k))
+    let src = t.islands.(t.active.(k)) in
+    let st = src.staged in
+    for i = 0 to st.s_n - 1 do
+      push_to t ~dst:st.s_dsts.(i) ~time:st.s_times.(i) ~src:src.id
+        ~seq:st.s_seqs.(i) st.s_acts.(i);
+      st.s_acts.(i) <- noop_action
+    done;
+    st.s_n <- 0
   done
 
 (* Barrier-time capture snapshot: window bounds plus every island's PRNG
-   fingerprint. Runs single-threaded after [deliver], so reading the
-   island streams is race-free. *)
+   fingerprint. Runs single-threaded after the window's lanes stopped,
+   so reading the island streams is race-free. *)
 let record_barrier t ~from ~until =
   if t.cap_on then
     t.cap_barriers <-
@@ -418,9 +436,11 @@ let run_lane t ~d k ~window ~until =
 (* Parallel lanes: [d - 1] persistent worker domains plus the calling
    domain as lane 0. Each window is handed to the workers under a
    mutex/condition barrier; the islands are disjoint, so lanes never
-   contend on simulation state. Returns the per-window step, which
-   re-raises the first lane failure once every lane has stopped and
-   otherwise returns the events the window ran, and the shutdown. *)
+   contend on simulation state. While they run, posts stage
+   ([t.staging]); the mutex orders the flag's writes around the lanes'
+   reads. Returns the per-window step, which delivers the staged posts
+   once every lane has stopped, then re-raises the first lane failure
+   or returns the events the window ran, and the shutdown. *)
 let parallel_lanes t d =
   let m = Mutex.create () in
   let cv = Condition.create () in
@@ -466,6 +486,7 @@ let parallel_lanes t d =
   let workers = Array.init (d - 1) (fun k -> Domain.spawn (worker (k + 1))) in
   let step ~window:w ~until:u =
     Mutex.lock m;
+    t.staging <- true;
     window := w;
     until := u;
     done_workers := 0;
@@ -478,7 +499,9 @@ let parallel_lanes t d =
       Condition.wait cv m
     done;
     let failed = !failure in
+    t.staging <- false;
     Mutex.unlock m;
+    deliver t;
     match failed with
     | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
     | None -> Array.fold_left ( + ) 0 events
@@ -502,15 +525,16 @@ let parallel_lanes t d =
 let thin_window_events = 64
 
 (* The window loop, whatever the domain count: only the per-window lane
-   step differs, and the sequential step (one lane, the calling domain)
-   takes no lock.
+   step differs, and the inline step (one lane, the calling domain)
+   takes no lock and stages nothing.
 
    Head times: [t.heads.(i)] equals island [i]'s earliest pending time
    at every window start. It is rebuilt from the calendars when [run]
-   starts (set-up code may have scheduled or posted from outside any
-   action), each island refreshes its own entry after its window, and
-   [deliver] lowers the entry of every destination it pushes to. An
-   idle island's calendar changes only through [deliver], so a window
+   starts (set-up code may have scheduled from outside any action),
+   each island refreshes its own entry after its window, and every push
+   into another island's calendar lowers that island's entry: a post
+   in place, or the barrier's delivery after a lane-parallel window. An
+   idle island's calendar changes only through such pushes, so a window
    costs a scan of [heads] plus the active islands' work. *)
 let run ?(domains = 1) t =
   let d = min domains (Array.length t.islands) in
@@ -519,7 +543,6 @@ let run ?(domains = 1) t =
     if d <= 1 then (inline, ignore) else parallel_lanes t d
   in
   Fun.protect ~finally:shutdown @@ fun () ->
-  Array.iter (deliver_from t) t.islands;
   Array.iteri (fun i isl -> t.heads.(i) <- Calendar.min_time isl.cal) t.islands;
   let last_events = ref 0 in
   let continue = ref true in
@@ -534,7 +557,6 @@ let run ?(domains = 1) t =
         if t.n_active <= 1 || !last_events < thin_window_events then
           inline ~window ~until
         else step ~window ~until;
-      deliver t;
       record_barrier t ~from:next ~until;
       t.windows <- t.windows + 1
     end

@@ -104,7 +104,10 @@ val island : t -> int -> island
 
 val id : island -> int
 val now : island -> float
-(** The island's local clock: the timestamp of the event being executed. *)
+(** The island's local clock: the timestamp of the event being executed.
+    The clock is a one-float cell, so advancing it boxes nothing and
+    [now] inlines to an unboxed read; a hot caller that hands it to a
+    function that is not inlined boxes it there. *)
 
 val prng : island -> Prng.t
 (** The island's private PRNG stream. Draw order is the island's
@@ -122,15 +125,17 @@ val post : island -> dst:int -> after:float -> (island -> unit) -> unit
     synchronization contract; violating it raises [Invalid_argument].
     Posting to the own island degrades to {!schedule_in}.
 
-    Posts are batch-staged: each sending island owns one recycled
-    struct-of-arrays buffer that accumulates the whole window's posts,
-    each with its destination, and at the barrier every staged post is
-    pushed into its destination's calendar. Staging memory is
-    O(islands + traffic), and delivery costs one visit per island that
-    ran in the window plus one push per post. Steady-state posting
-    allocates nothing, which is what amortizes barrier cost at
-    millions-of-requests rates. A post made from outside any action
-    (set-up code) is delivered when the next {!run} starts. *)
+    A post made while a window runs on one lane — every window at
+    [domains:1], an inline window at [domains > 1], and set-up code
+    outside {!run} — is pushed straight into its destination's calendar:
+    it lies beyond the window's end, so nothing runs it early. Only
+    while a window's lanes run in parallel are posts staged: each
+    sending island owns one recycled struct-of-arrays buffer that
+    accumulates the window's posts, each with its destination, and at
+    the barrier every staged post is pushed into its destination's
+    calendar. Staging memory is O(islands + traffic), and delivery costs
+    one visit per island that ran in the window plus one push per post.
+    Either way, steady-state posting allocates nothing. *)
 
 val run : ?domains:int -> t -> unit
 (** Execute until no events remain anywhere. [domains] bounds the number

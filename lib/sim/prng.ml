@@ -54,9 +54,13 @@ let int_in t lo hi =
   assert (hi >= lo);
   lo + int t (hi - lo + 1)
 
-(* 53-bit mantissa from the top bits, uniform in [0, 1). *)
+(* 53-bit mantissa from the top bits, uniform in [0, 1). The 53-bit
+   value fits an OCaml int, and [float_of_int] is exact below 2^53, so
+   the conversion is an inline instruction, not [Int64.to_float]'s C
+   call. *)
 let[@inline] to_unit n =
-  Int64.to_float (Int64.shift_right_logical n 11) *. (1.0 /. 9007199254740992.0)
+  float_of_int (Int64.to_int (Int64.shift_right_logical n 11))
+  *. (1.0 /. 9007199254740992.0)
 
 let[@inline] unit_float t = to_unit (next_int64 t)
 
@@ -74,10 +78,15 @@ let gaussian t ~mean ~stddev =
   mean +. (stddev *. z)
 
 (* Exponential deviate by inversion, with the same rejection loop as
-   [gaussian]. Arrival generators draw one of these per request. *)
-let rec exponential t ~mean =
-  let u = unit_float t in
-  if u <= 1e-300 then exponential t ~mean else -.mean *. log u
+   [gaussian]. Arrival generators draw one of these per request: a loop
+   rather than a recursion, so it inlines and its result stays
+   unboxed. *)
+let[@inline] exponential t ~mean =
+  let u = ref (unit_float t) in
+  while !u <= 1e-300 do
+    u := unit_float t
+  done;
+  -.mean *. log !u
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~stddev:sigma)
 

@@ -59,7 +59,9 @@ let grow w =
   w.counts <- counts;
   w.head <- 0
 
-let add w time b =
+(* Inlined so that a caller's unboxed [time] (the controller's clock, once
+   per response) is never boxed. *)
+let[@inline] add w time b =
   let hc = w.hist.Stats.counts in
   if b < 0 || b >= Array.length hc then
     invalid_arg "Window_hist.add: bucket out of range";

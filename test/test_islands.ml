@@ -601,6 +601,84 @@ let qcheck_islands_thin_windows =
       List.for_all fst runs
       && List.for_all (fun (_, r) -> r = snd (List.hd runs)) runs)
 
+(* --- Lane-parallel windows: staged vs in-place delivery ------------------ *)
+
+(* The windows of a capture that met the lane rule: at least two active
+   islands, after a window that ran 64 events or more. At [domains >= 2]
+   exactly these run on the lanes and stage their posts until the
+   barrier; every other window, and every window at [domains:1],
+   delivers its posts in place. *)
+let lane_windows (cap : Sim.Islands.capture) =
+  let nw = List.length cap.c_barriers in
+  let events = Array.make nw 0 and active = Array.make nw 0 in
+  Array.iter
+    (fun execs ->
+      let last = ref (-1) in
+      List.iter
+        (fun (x : Sim.Islands.exec_rec) ->
+          events.(x.x_window) <- events.(x.x_window) + 1;
+          if x.x_window <> !last then begin
+            active.(x.x_window) <- active.(x.x_window) + 1;
+            last := x.x_window
+          end)
+        execs)
+    cap.c_execs;
+  List.filter (fun w -> active.(w) >= 2 && events.(w - 1) >= 64)
+    (List.init (max 0 (nw - 1)) (fun w -> w + 1))
+
+(* Busy runtimes: two to four islands each run a local chain of events
+   0.01 apart, so a window, 1.0 wide, runs about 100 events on each of
+   them. One event in four posts to a random island, where it starts a
+   burst of up to two local events. The thin-window property above
+   rarely reaches the lanes; here most windows do at two and four
+   domains, so their posts stage until the barrier, while at one domain
+   every post goes straight into its destination's calendar. The
+   captures, window and event counts are the same at 1, 2 and 4
+   domains, the schedule checker finds nothing, and some window met the
+   lane rule. *)
+let qcheck_islands_lane_windows =
+  QCheck.Test.make
+    ~name:"islands: lane-parallel windows deliver as in-place ones" ~count:10
+    QCheck.(triple (int_range 2 12) (int_range 2 4) (int_bound 100_000))
+    (fun (n, busy, seed) ->
+      let build () =
+        let rt =
+          Sim.Islands.create ~capture:true ~islands:n ~lookahead:1.0 ~seed ()
+        in
+        let rec burst k isl =
+          if k > 0 then Sim.Islands.schedule_in isl ~after:0.003 (burst (k - 1))
+        in
+        let rec chain steps isl =
+          if steps > 0 then begin
+            let rng = Sim.Islands.prng isl in
+            if Sim.Prng.int rng 4 = 0 then
+              Sim.Islands.post isl ~dst:(Sim.Prng.int rng n)
+                ~after:(1.0 +. Sim.Prng.float rng 0.5)
+                (fun isl -> burst (Sim.Prng.int (Sim.Islands.prng isl) 3) isl);
+            Sim.Islands.schedule_in isl ~after:0.01 (chain (steps - 1))
+          end
+        in
+        for i = 0 to min busy n - 1 do
+          Sim.Islands.schedule (Sim.Islands.island rt i) ~at:0.0 (chain 400)
+        done;
+        rt
+      in
+      let runs =
+        List.map
+          (fun domains ->
+            let rt = build () in
+            Sim.Islands.run ~domains rt;
+            let cap = capture_of rt in
+            ( cap,
+              Sim.Islands.windows rt,
+              Sim.Islands.events_executed rt ))
+          [ 1; 2; 4 ]
+      in
+      let cap, _, _ = List.hd runs in
+      List.for_all (fun r -> r = List.hd runs) runs
+      && Analysis.Islands_check.check ~label:"lanes" cap = []
+      && lane_windows cap <> [])
+
 (* Events given to an idle island from outside any action run at their
    time: scheduled or posted before the first [run] while another
    island is busy, and scheduled between two [run] calls, after every
@@ -857,6 +935,7 @@ let suite =
     Alcotest.test_case "calendar: pop_before" `Quick calendar_pop_before;
     QCheck_alcotest.to_alcotest qcheck_calendar_pop_before;
     QCheck_alcotest.to_alcotest qcheck_islands_thin_windows;
+    QCheck_alcotest.to_alcotest qcheck_islands_lane_windows;
     Alcotest.test_case "islands: set-up events on idle islands" `Quick
       islands_setup_events;
     QCheck_alcotest.to_alcotest qcheck_calendar_model;
