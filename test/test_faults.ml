@@ -213,6 +213,34 @@ let crash_unknown_node_rejected () =
 let thread_migration_kind =
   Kernel.Message.kind_to_string Kernel.Message.Thread_migration
 
+(* A kind's own entry wins over "*", whichever is listed first; a kind
+   with no entry of its own takes "*", and no entry when there is none. *)
+let fault_entry_precedence () =
+  let entry kind drop = { Faults.Plan.kind; drop; delay = 0.0; delay_s = 0.0 } in
+  let page_request_kind =
+    Kernel.Message.kind_to_string Kernel.Message.Page_request
+  in
+  let drop_of messages kind =
+    let inj =
+      Faults.Injector.create
+        (Faults.Plan.make ~messages ())
+        ~kinds:[ thread_migration_kind; page_request_kind ]
+    in
+    Option.map
+      (fun (f : Faults.Plan.msg_fault) -> f.Faults.Plan.drop)
+      (Faults.Injector.fault_for inj ~kind)
+  in
+  let own = entry thread_migration_kind 0.25 and star = entry "*" 0.5 in
+  let check msg = Alcotest.(check (option (float 0.0))) msg in
+  check "own entry listed before * wins" (Some 0.25)
+    (drop_of [ own; star ] thread_migration_kind);
+  check "own entry listed after * wins" (Some 0.25)
+    (drop_of [ star; own ] thread_migration_kind);
+  check "a kind without its own entry takes *" (Some 0.5)
+    (drop_of [ own; star ] page_request_kind);
+  check "without * such a kind gets no entry" None
+    (drop_of [ own ] page_request_kind)
+
 let message_retry_exhaustion () =
   (* Drop every attempt: the send burns its whole budget, then fails. *)
   let plan =
@@ -439,6 +467,7 @@ let suite =
      unknown_message_kind_rejected);
     ("crash targeting unknown node rejected", `Quick,
      crash_unknown_node_rejected);
+    ("fault entry precedence", `Quick, fault_entry_precedence);
     ("message retry budget exhaustion", `Quick, message_retry_exhaustion);
     ("migration abort rolls back to source", `Quick, migration_abort_rolls_back);
     ("zero fault plan is byte-identical", `Quick, zero_plan_byte_identical);
