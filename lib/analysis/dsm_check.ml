@@ -6,19 +6,14 @@ let rules =
     ("dsm-empty-log", D.Info, "the capture run recorded no page accesses");
   ]
 
-let event_of_observation = function
-  | Dsm.Hdsm.Obs_access { node; page; write } ->
-      Race.Access { unit_ = node; page; write }
-  | Dsm.Hdsm.Obs_sync { src; dst } -> Race.Sync { src; dst }
-
 let capture ~binary ~(spec : Workload.Spec.t) =
   let cluster = Hetmig.Het.make_cluster () in
   let events = ref [] in
   let push e = events := e :: !events in
   Dsm.Hdsm.set_observer cluster.Hetmig.Het.pop.Kernel.Popcorn.dsm
-    (Some (fun obs -> push (event_of_observation obs)));
+    (Some push);
   Kernel.Popcorn.on_thread_migrated cluster.Hetmig.Het.pop (fun _ _ ~from_ ~to_ ->
-      push (Race.Sync { src = from_; dst = to_ }));
+      push (Dsm.Hdsm.Obs_sync { src = from_; dst = to_ }));
   let threads = 2 in
   let proc =
     Hetmig.Het.deploy cluster binary ~spec ~threads
@@ -54,7 +49,7 @@ let capture ~binary ~(spec : Workload.Spec.t) =
 
 let check_log ~label ~units events =
   let has_access =
-    List.exists (function Race.Access _ -> true | _ -> false) events
+    List.exists (function Dsm.Hdsm.Obs_access _ -> true | _ -> false) events
   in
   let empty =
     if has_access then []

@@ -1,7 +1,3 @@
-type event =
-  | Access of { unit_ : int; page : int; write : bool }
-  | Sync of { src : int; dst : int }
-
 type race = {
   page : int;
   first_unit : int;
@@ -71,7 +67,7 @@ let detect ~units events =
   List.iteri
     (fun idx ev ->
       match ev with
-      | Sync { src; dst } ->
+      | Dsm.Hdsm.Obs_sync { src; dst } ->
           check src;
           check dst;
           if src <> dst then begin
@@ -83,7 +79,7 @@ let detect ~units events =
               if s.(i) > d.(i) then d.(i) <- s.(i)
             done
           end
-      | Access { unit_ = u; page; write } ->
+      | Dsm.Hdsm.Obs_access { node = u; page; write } ->
           check u;
           vc.(u).(u) <- vc.(u).(u) + 1;
           let st = page_state page in

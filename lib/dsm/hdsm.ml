@@ -109,8 +109,6 @@ let create ?(handler_latency_s = default_handler_latency_s) ?(batch = false)
         bytes_transferred = 0; protocol_msgs = 0; prefetched_pages = 0 };
   }
 
-let batching t = t.batch
-
 let set_observer t obs = t.observer <- obs
 
 let check_node t node =

@@ -65,8 +65,6 @@ val page_fault_latency : Machine.Interconnect.t -> float
     handler on top of {!Machine.Interconnect.page_transfer_time}. A
     demand fetch of an hDSM built with the default costs exactly this. *)
 
-val batching : t -> bool
-
 val register_page : t -> page:int -> owner:node -> unit
 (** Introduce a data page, initially [Exclusive] at its owner. Idempotent
     for an already-known page. *)
@@ -177,8 +175,9 @@ val reset_stats : t -> unit
 
 (** {1 Observation}
 
-    The static-analysis race detector replays hDSM access logs through a
-    vector-clock happens-before checker. An observer receives one event
+    The static-analysis race detector ([Analysis.Race.detect]) replays
+    logs of these observations through a vector-clock happens-before
+    checker. An observer receives one event
     per page access and one per protocol-induced ordering edge (page
     fetch, invalidation, drain/prefetch transfer) — the messages that
     order conflicting accesses in a coherent execution. With no observer

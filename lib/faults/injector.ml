@@ -1,40 +1,25 @@
-type t = {
-  plan : Plan.t;
-  rng : Sim.Prng.t;
-  by_kind : (string, Plan.msg_fault) Hashtbl.t;
-  wildcard : Plan.msg_fault option;
-  mutable drops : int;
-}
+type t = { plan : Plan.t; rng : Sim.Prng.t }
 
 let create (plan : Plan.t) ~kinds =
-  let by_kind = Hashtbl.create 8 in
-  let wildcard = ref None in
   List.iter
     (fun (f : Plan.msg_fault) ->
-      if f.Plan.kind = "*" then wildcard := Some f
-      else if List.mem f.Plan.kind kinds then
-        Hashtbl.replace by_kind f.Plan.kind f
-      else
+      if f.Plan.kind <> "*" && not (List.mem f.Plan.kind kinds) then
         invalid_arg
           (Printf.sprintf
              "Faults.Injector: plan references undefined message kind %S \
               (known: %s)"
              f.Plan.kind (String.concat ", " kinds)))
     plan.Plan.messages;
-  {
-    plan;
-    rng = Sim.Prng.create plan.Plan.seed;
-    by_kind;
-    wildcard = !wildcard;
-    drops = 0;
-  }
+  { plan; rng = Sim.Prng.create plan.Plan.seed }
 
-let plan t = t.plan
-
+(* [Plan.make] rejects a second entry for a kind, so the first match is
+   the only one. *)
 let fault_for t ~kind =
-  match Hashtbl.find_opt t.by_kind kind with
-  | Some f -> Some f
-  | None -> t.wildcard
+  let entry k =
+    List.find_opt (fun (f : Plan.msg_fault) -> f.Plan.kind = k)
+      t.plan.Plan.messages
+  in
+  match entry kind with Some _ as own -> own | None -> entry "*"
 
 (* Draw from the PRNG only when the probability is positive: the zero
    plan must not perturb the stream, so that a zero-plan run is
@@ -42,12 +27,7 @@ let fault_for t ~kind =
 let bernoulli t p = p > 0.0 && Sim.Prng.float t.rng 1.0 < p
 
 let drop_attempt t fault =
-  match fault with
-  | None -> false
-  | Some f ->
-    let hit = bernoulli t f.Plan.drop in
-    if hit then t.drops <- t.drops + 1;
-    hit
+  match fault with None -> false | Some f -> bernoulli t f.Plan.drop
 
 let delivery_delay t fault =
   match fault with
@@ -64,4 +44,3 @@ let backoff ~attempt =
   Plan.backoff_base_s *. Float.of_int (1 lsl (attempt - 1))
 
 let crashes t = t.plan.Plan.crashes
-let drops_injected t = t.drops

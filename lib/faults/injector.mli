@@ -2,8 +2,9 @@
 
     An injector owns the plan's PRNG and answers the kernel's questions
     — "is this send attempt lost?", "is this delivery delayed?", "did
-    this page-request batch time out?" — while keeping counters of what
-    it injected. One injector belongs to exactly one simulation engine;
+    this page-request batch time out?". It counts nothing: the message
+    bus counts what it lost ([Kernel.Message.retry_stats]). One injector
+    belongs to exactly one simulation engine;
     a fresh injector from the same plan replays the same decisions in
     the same order, which is what makes faulty runs bit-reproducible. *)
 
@@ -16,12 +17,11 @@ val create : Plan.t -> kinds:string list -> t
     plan that silently matched nothing would make every "we survived
     the fault" result a lie. *)
 
-val plan : t -> Plan.t
-
 val fault_for : t -> kind:string -> Plan.msg_fault option
 (** The plan's entry for message kind [kind], else its ["*"] entry, else
-    [None]. A sender resolves each kind once and passes the result to
-    {!drop_attempt} and {!delivery_delay}, so a send hashes no name. *)
+    [None], wherever ["*"] is listed. A sender resolves each kind once and
+    passes the result to {!drop_attempt} and {!delivery_delay}, so a send
+    looks up no name. *)
 
 val drop_attempt : t -> Plan.msg_fault option -> bool
 (** Does the plan lose this send attempt of a kind whose entry
@@ -43,7 +43,3 @@ val backoff : attempt:int -> float
     [Plan.backoff_base_s *. 2^(attempt-1)]. *)
 
 val crashes : t -> Plan.crash list
-
-(* Injection counters (what actually happened this run). *)
-
-val drops_injected : t -> int

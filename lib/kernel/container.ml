@@ -1,6 +1,6 @@
-type t = { cid : int; name : string; mutable processes : Process.t list }
+type t = { name : string; mutable processes : Process.t list }
 
-let create ~cid ~name = { cid; name; processes = [] }
+let create ~name = { name; processes = [] }
 let add_process t p = t.processes <- p :: t.processes
 
 let span t ~residual =

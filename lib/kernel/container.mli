@@ -7,13 +7,9 @@
     elastically: while a process inside has threads on several nodes (or
     residual pages at its home), the container exists on all of them. *)
 
-type t = {
-  cid : int;
-  name : string;
-  mutable processes : Process.t list;
-}
+type t = { name : string; mutable processes : Process.t list }
 
-val create : cid:int -> name:string -> t
+val create : name:string -> t
 val add_process : t -> Process.t -> unit
 
 val span : t -> residual:(Process.t -> bool) -> int list

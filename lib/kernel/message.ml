@@ -41,10 +41,8 @@ type t = {
   faults : Faults.Injector.t;
   kind_faults : Faults.Plan.msg_fault option array;
   obs : Obs.t;
-  counts : int array;
   retries : retry_stats array;
   mutable bytes : int;
-  mutable messages : int;
 }
 
 let create ?faults ?(obs = Obs.noop) engine interconnect =
@@ -72,23 +70,15 @@ let create ?faults ?(obs = Obs.noop) engine interconnect =
         (fun k -> Faults.Injector.fault_for faults ~kind:(kind_to_string k))
         kinds;
     obs;
-    counts = Array.make (Array.length kinds) 0;
     retries =
       Array.map
         (fun _ ->
           { attempts = 0; delivered = 0; dropped = 0; retried = 0; failed = 0 })
         kinds;
     bytes = 0;
-    messages = 0;
   }
 
 let retry_stats t kind = t.retries.(kind_index kind)
-
-let count_attempt t i ~bytes =
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.bytes <- t.bytes + bytes;
-  t.messages <- t.messages + 1;
-  Obs.incr t.obs sent_metric.(i)
 
 (* One complete RPC span per message, from the first send attempt to
    delivery (or abandonment), on the interconnect track's per-kind row.
@@ -123,8 +113,9 @@ let send t kind ?on_failure ~bytes ~on_delivery () =
      nothing and draws nothing, so a plan-free send is one attempt,
      delivered after exactly the transfer time. *)
   let rec attempt n =
-    count_attempt t i ~bytes;
     stats.attempts <- stats.attempts + 1;
+    t.bytes <- t.bytes + bytes;
+    Obs.incr t.obs sent_metric.(i);
     if Faults.Injector.drop_attempt inj fault then begin
       stats.dropped <- stats.dropped + 1;
       Obs.incr t.obs dropped_metric.(i);
@@ -160,7 +151,9 @@ let send t kind ?on_failure ~bytes ~on_delivery () =
   in
   attempt 0
 
-let sent t kind = t.counts.(kind_index kind)
+let sent t kind = (retry_stats t kind).attempts
 
 let total_bytes t = t.bytes
-let total_messages t = t.messages
+
+let total_messages t =
+  Array.fold_left (fun n stats -> n + stats.attempts) 0 t.retries

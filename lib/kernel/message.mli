@@ -61,11 +61,14 @@ val send :
     traffic. Raises [Invalid_argument] on negative [bytes]. *)
 
 val sent : t -> kind -> int
-(** Send attempts of a kind (retransmissions included). *)
+(** Send attempts of a kind (retransmissions included): its
+    {!retry_stats}' [attempts]. *)
 
 val retry_stats : t -> kind -> retry_stats
 (** Per-kind retry/failure counters; all zeros before the first send.
     The returned record is live. *)
 
 val total_bytes : t -> int
+
 val total_messages : t -> int
+(** Send attempts of every kind. *)

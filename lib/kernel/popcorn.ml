@@ -15,10 +15,8 @@ type t = {
   obs : Obs.t;
   prefetch : bool;  (** push the migrating thread's working set ahead *)
   nodes : node array;
-  vdso : Vdso.t;  (** the shared scheduler/application flag page *)
   mutable containers : Container.t list;
   mutable next_pid : int;
-  mutable next_cid : int;
   mutable next_slot : int;  (** loader slot allocator, per ensemble *)
   mutable migration_downtime_s : float;
   mutable drain_time_s : float;
@@ -80,8 +78,7 @@ let abort_process t proc =
         (* Hooks run while [migrate_to] is still set: observers counted
            an in-flight thread at its destination. *)
         List.iter (fun hook -> hook proc th) t.thread_hooks;
-        th.Process.migrate_to <- None;
-        Vdso.clear t.vdso ~tid:th.Process.tid
+        th.Process.migrate_to <- None
       end)
     proc.Process.threads
 
@@ -153,10 +150,8 @@ let create engine ?(faults = Faults.Plan.zero) ?(dsm_batch = false)
       obs;
       prefetch;
       nodes;
-      vdso = Vdso.create ();
       containers = [];
       next_pid = 1;
-      next_cid = 1;
       next_slot = 0;
       migration_downtime_s = 0.0;
       drain_time_s = 0.0;
@@ -184,8 +179,7 @@ let create engine ?(faults = Faults.Plan.zero) ?(dsm_batch = false)
   t
 
 let new_container t ~name =
-  let c = Container.create ~cid:t.next_cid ~name in
-  t.next_cid <- t.next_cid + 1;
+  let c = Container.create ~name in
   t.containers <- c :: t.containers;
   c
 
@@ -291,8 +285,8 @@ let measured_transform_latency ?(obs = Obs.noop) tc =
     latency_cache_add prog per_arch;
     fun arch -> List.assoc arch per_arch
 
-let spawn t ~container ~node ~name ?binary ?transform_latency ~footprint_bytes
-    ~thread_phases () =
+let spawn t ~container ~node ~name ?binary ~footprint_bytes ~thread_phases
+    () =
   let slot = t.next_slot in
   t.next_slot <- t.next_slot + 1;
   let image =
@@ -301,10 +295,9 @@ let spawn t ~container ~node ~name ?binary ?transform_latency ~footprint_bytes
     | None -> Loader.load_raw ~dsm:t.dsm ~node ~slot ~name ~footprint_bytes
   in
   let transform_latency =
-    match (transform_latency, binary) with
-    | Some f, _ -> f
-    | None, Some tc -> measured_transform_latency ~obs:t.obs tc
-    | None, None -> fun _ -> 250e-6
+    match binary with
+    | Some tc -> measured_transform_latency ~obs:t.obs tc
+    | None -> fun _ -> 250e-6
   in
   let pid = t.next_pid in
   t.next_pid <- t.next_pid + 1;
@@ -323,8 +316,8 @@ let spawn t ~container ~node ~name ?binary ?transform_latency ~footprint_bytes
           t.nodes)
       threads;
   let proc =
-    Process.make ~pid ~name ~home:node ?binary ~aspace:image.Loader.aspace
-      ~data_pages:image.Loader.data_pages ~threads ~transform_latency ()
+    Process.make ~pid ~name ~home:node ~data_pages:image.Loader.data_pages
+      ~threads ~transform_latency
   in
   Container.add_process container proc;
   proc
@@ -403,13 +396,13 @@ let drain_residual t proc ~to_node =
     drain_from 0
   end
 
-(* Each phase boundary is a migration point: the thread polls the vDSO
-   flag page (the "function call and a memory read" of Section 5.2.1) and
-   migrates if the scheduler asked for it. *)
+(* Each phase boundary is a migration point: the thread reads its vDSO
+   flag word, [migrate_to] (the "function call and a memory read" of
+   Section 5.2.1), and migrates if the scheduler asked for it. *)
 let rec step t proc (th : Process.thread) =
   if th.Process.status = Process.Done || proc.Process.aborted then ()
   else
-    match Vdso.poll t.vdso ~tid:th.Process.tid with
+    match th.Process.migrate_to with
     | Some dest
       when dest <> th.Process.node
            && Continuation.can_migrate th.Process.continuation ->
@@ -555,7 +548,6 @@ and begin_migration t proc th dest =
                 let restart () =
                   th.Process.node <- dest;
                   th.Process.migrate_to <- None;
-                  Vdso.clear t.vdso ~tid:th.Process.tid;
                   th.Process.migrations <- th.Process.migrations + 1;
                   th.Process.status <- Process.Ready;
                   Obs.incr t.obs "popcorn.migrations";
@@ -583,7 +575,6 @@ and begin_migration t proc th dest =
                 th.Process.aborted_migrations <-
                   th.Process.aborted_migrations + 1;
                 th.Process.migrate_to <- None;
-                Vdso.clear t.vdso ~tid:th.Process.tid;
                 th.Process.status <- Process.Ready;
                 Obs.incr t.obs "popcorn.migration_aborts";
                 Obs.instant t.obs
@@ -635,15 +626,7 @@ let start t proc =
 let migrate t proc ~to_node =
   if to_node < 0 || to_node >= Array.length t.nodes then
     invalid_arg (Printf.sprintf "Popcorn.migrate: unknown node %d" to_node);
-  (* Set the vDSO flag for every live thread; [migrate_to] mirrors the
-     request so observers (the datacenter scheduler's load accounting)
-     can see where a thread is headed. *)
-  Process.request_migration proc ~to_node;
-  List.iter
-    (fun (th : Process.thread) ->
-      if th.Process.status <> Process.Done then
-        Vdso.request t.vdso ~tid:th.Process.tid ~dest:to_node)
-    proc.Process.threads
+  Process.request_migration proc ~to_node
 
 (* One counter track per quantity, so a trace viewer never stacks watts
    on percent. *)
@@ -677,16 +660,25 @@ let set_powered t id powered =
     t.nodes.(id).powered <- powered
   end
 
+(* [f] summed over every thread of every process. Each list is walked by
+   its own recursion, so no closure is built per process. *)
+let sum_threads t f =
+  let rec threads acc = function
+    | [] -> acc
+    | th :: rest -> threads (acc + f th) rest
+  in
+  let rec processes acc = function
+    | [] -> acc
+    | (p : Process.t) :: rest -> processes (threads acc p.Process.threads) rest
+  in
+  let rec containers acc = function
+    | [] -> acc
+    | (c : Container.t) :: rest ->
+      containers (processes acc c.Container.processes) rest
+  in
+  containers 0 t.containers
+
+let migrations t = sum_threads t (fun th -> th.Process.migrations)
+
 let aborted_migrations t =
-  List.fold_left
-    (fun acc (c : Container.t) ->
-      acc
-      + List.fold_left
-          (fun acc (p : Process.t) ->
-            acc
-            + List.fold_left
-                (fun acc (th : Process.thread) ->
-                  acc + th.Process.aborted_migrations)
-                0 p.Process.threads)
-          0 c.Container.processes)
-    0 t.containers
+  sum_threads t (fun th -> th.Process.aborted_migrations)

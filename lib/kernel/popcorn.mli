@@ -32,10 +32,8 @@ type t = {
   obs : Obs.t;  (** observability sink; {!Obs.noop} unless passed to create *)
   prefetch : bool;  (** push the migrating thread's working set ahead *)
   nodes : node array;
-  vdso : Vdso.t;  (** the shared scheduler/application flag page *)
   mutable containers : Container.t list;
   mutable next_pid : int;
-  mutable next_cid : int;
   mutable next_slot : int;  (** loader slot allocator, per ensemble *)
   mutable migration_downtime_s : float;
       (** summed simulated time threads spent paused in migrations
@@ -136,7 +134,6 @@ val spawn :
   node:int ->
   name:string ->
   ?binary:Compiler.Toolchain.t ->
-  ?transform_latency:(Isa.Arch.t -> float) ->
   footprint_bytes:int ->
   thread_phases:Process.phase Seq.t list ->
   unit ->
@@ -144,8 +141,8 @@ val spawn :
 (** Load the image on the node (heterogeneous loader), create one thread
     per phase sequence, register pages with the DSM. If [binary] is given its
     median stack-transformation cost per source ISA is measured through
-    the real transformation runtime unless [transform_latency] overrides
-    it. The process does not run until {!start}. *)
+    the real transformation runtime; a process without one takes 250 us
+    from every ISA. The process does not run until {!start}. *)
 
 val start : t -> Process.t -> unit
 (** Begin executing all threads of the process at the current simulated
@@ -153,8 +150,9 @@ val start : t -> Process.t -> unit
 
 val migrate : t -> Process.t -> to_node:int -> unit
 (** Raises [Invalid_argument] for an unknown node.
-    Set the migration flag (vDSO page): each thread migrates at its next
-    phase boundary — stack transformation on the source, a thread-
+    Set the migration flag, each live thread's [migrate_to] word of the
+    vDSO page ({!Process.request_migration}): each thread migrates at its
+    next phase boundary — stack transformation on the source, a thread-
     migration message, resumption on the destination; pages then follow
     on demand. When the last thread leaves the home kernel, residual
     pages are drained and the home moves. *)
@@ -196,6 +194,10 @@ val attach_sensors : t -> Obs.t -> hz:float -> until:float -> unit
 
 val set_powered : t -> int -> bool -> unit
 (** No-op on a crashed node. *)
+
+val migrations : t -> int
+(** Total migrations restarted on their destination, across all threads
+    of all containers. *)
 
 val aborted_migrations : t -> int
 (** Total migrations rolled back across all threads of all containers. *)

@@ -23,8 +23,6 @@ type t = {
   pid : int;
   name : string;
   mutable home : int;
-  binary : Compiler.Toolchain.t option;
-  aspace : Memsys.Address_space.t;
   data_pages : Memsys.Page.range list;
   threads : thread list;
   transform_latency : Isa.Arch.t -> float;
@@ -45,9 +43,8 @@ let make_thread ~tid ~node ~phases =
     gen = 0;
   }
 
-let make ~pid ~name ~home ?binary ~aspace ~data_pages ~threads
-    ~transform_latency () =
-  { pid; name; home; binary; aspace; data_pages; threads; transform_latency;
+let make ~pid ~name ~home ~data_pages ~threads ~transform_latency =
+  { pid; name; home; data_pages; threads; transform_latency;
     finished_at = None; aborted = false }
 
 let alive t = List.exists (fun th -> th.status <> Done) t.threads

@@ -28,7 +28,10 @@ type thread = {
   mutable remaining : phase Seq.t;
       (** the phases still to run; forcing it rebuilds the next phase *)
   mutable migrate_to : int option;
-      (** pending scheduler request, honoured at the next phase boundary *)
+      (** the thread's word on the shared vDSO page (paper Section
+          5.2.1): the destination the scheduler asked for, read at the
+          next migration point and cleared when the migration restarts
+          on the destination, rolls back, or a crash kills the thread *)
   continuation : Continuation.t;
   mutable migrations : int;
   mutable aborted_migrations : int;
@@ -42,8 +45,6 @@ type t = {
   pid : int;
   name : string;
   mutable home : int;  (** kernel holding residual dependencies *)
-  binary : Compiler.Toolchain.t option;
-  aspace : Memsys.Address_space.t;
   data_pages : Memsys.Page.range list;
   threads : thread list;
   transform_latency : Isa.Arch.t -> float;
@@ -60,15 +61,13 @@ val make :
   pid:int ->
   name:string ->
   home:int ->
-  ?binary:Compiler.Toolchain.t ->
-  aspace:Memsys.Address_space.t ->
   data_pages:Memsys.Page.range list ->
   threads:thread list ->
   transform_latency:(Isa.Arch.t -> float) ->
-  unit ->
   t
 
 val alive : t -> bool
 
 val request_migration : t -> to_node:int -> unit
-(** Flag every thread of the process (the shared vDSO page write). *)
+(** Set [migrate_to] of every live thread: the scheduler's write to the
+    shared vDSO page. *)

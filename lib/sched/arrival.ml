@@ -229,6 +229,19 @@ let svc s = s.cur_svc
 let rid s = s.cur_rid
 let close_stream s = s.sclose ()
 
+(* A stream before its first pull, with no cutoff. *)
+let make_stream ~sname ~services ~close pull =
+  {
+    sname;
+    sservices = services;
+    remaining = -1;
+    cur_at = [| 0.0 |];
+    cur_svc = -1;
+    cur_rid = -1;
+    pull;
+    sclose = close;
+  }
+
 let next s =
   if s.remaining = 0 then false
   else if s.pull s then begin
@@ -345,16 +358,7 @@ let merged_stream ~sname ~services gens =
       true
     end
   in
-  {
-    sname;
-    sservices = services;
-    remaining = -1;
-    cur_at = [| 0.0 |];
-    cur_svc = -1;
-    cur_rid = -1;
-    pull;
-    sclose = (fun () -> ());
-  }
+  make_stream ~sname ~services ~close:ignore pull
 
 (* Build per-service generators in strict service order (master-PRNG
    split order is part of the trace's identity). *)
@@ -365,8 +369,8 @@ let gens_in_order services make =
   in
   build 0 []
 
-let stream_bursty ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
-    ?(mean_off = 30.0) ~seed ~services ~duration_s () =
+let stream_bursty ~rate_high ~rate_low ~mean_on ~mean_off ~seed ~services
+    ~duration_s =
   validate_bursty ~rate_high ~rate_low ~mean_on ~mean_off ~services
     ~duration_s;
   let master = Sim.Prng.create seed in
@@ -397,8 +401,7 @@ let stream_bursty ?(rate_high = 40.0) ?(rate_low = 2.0) ?(mean_on = 10.0)
   in
   merged_stream ~sname:(Printf.sprintf "bursty-s%d" seed) ~services gens
 
-let stream_diurnal ?(peak_rps = 20.0) ?(day_s = 240.0) ~seed ~services ~days
-    () =
+let stream_diurnal ~peak_rps ~day_s ~seed ~services ~days =
   validate_diurnal ~peak_rps ~day_s ~services ~days;
   let master = Sim.Prng.create seed in
   let slot_s = day_s /. 24.0 in
@@ -440,16 +443,7 @@ let stream_of_trace trace =
       true
     end
   in
-  {
-    sname = trace.tname;
-    sservices = trace.services;
-    remaining = -1;
-    cur_at = [| 0.0 |];
-    cur_svc = -1;
-    cur_rid = -1;
-    pull;
-    sclose = (fun () -> ());
-  }
+  make_stream ~sname:trace.tname ~services:trace.services ~close:ignore pull
 
 (* Chunked replay: one line per pull, constant memory whatever the file
    size. The file must already be in canonical (at, svc) order — which
@@ -490,16 +484,7 @@ let stream_of_file path =
         s.cur_svc <- svc;
         true)
   in
-  {
-    sname = tname;
-    sservices = services;
-    remaining = -1;
-    cur_at = [| 0.0 |];
-    cur_svc = -1;
-    cur_rid = -1;
-    pull;
-    sclose = close;
-  }
+  make_stream ~sname:tname ~services ~close pull
 
 (* A [source] names a trace without holding it: generator parameters or
    a file path. Streams are one-shot stateful cursors, so anything that
@@ -545,10 +530,10 @@ let open_stream ?limit source =
     | Bursty p ->
       stream_bursty ~rate_high:p.rate_high ~rate_low:p.rate_low
         ~mean_on:p.mean_on ~mean_off:p.mean_off ~seed:p.seed
-        ~services:p.services ~duration_s:p.duration_s ()
+        ~services:p.services ~duration_s:p.duration_s
     | Diurnal p ->
       stream_diurnal ~peak_rps:p.peak_rps ~day_s:p.day_s ~seed:p.seed
-        ~services:p.services ~days:p.days ()
+        ~services:p.services ~days:p.days
     | Replay_file path -> stream_of_file path
     | Materialized trace -> stream_of_trace trace
   in

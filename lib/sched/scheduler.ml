@@ -66,9 +66,20 @@ let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
   let running : (Kernel.Process.t * Job.t) list ref = ref [] in
   let completed = ref 0 in
   let failed = ref 0 in
+  (* Jobs wider than every machine can never be placed: they are rejected
+     at submission instead of blocking the queue head forever. *)
+  let max_cores =
+    Array.fold_left
+      (fun acc n -> max acc n.Kernel.Popcorn.machine.Machine.Server.cores)
+      0 pop.Kernel.Popcorn.nodes
+  in
+  let feasible, infeasible =
+    List.partition (fun (j : Job.t) -> j.Job.threads <= max_cores) jobs
+  in
+  let n_feasible = List.length feasible in
+  let remaining_jobs () = n_feasible - !completed - !failed in
   let retried = ref 0 in
   let makespan = ref 0.0 in
-  let remaining_jobs = ref (List.length jobs) in
   let crashed node = pop.Kernel.Popcorn.nodes.(node).Kernel.Popcorn.crashed in
   (* Widest machine still standing; jobs wider than this can never be
      placed again and must fail rather than block the queue head. *)
@@ -190,7 +201,6 @@ let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
   let final_energy = ref None in
   Kernel.Popcorn.on_process_exit pop (fun proc ->
       incr completed;
-      decr remaining_jobs;
       makespan := Float.max !makespan (Sim.Engine.now engine);
       (match List.assq_opt proc !running with
       | Some job -> job_event "job_finish" job []
@@ -198,7 +208,7 @@ let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
       running := List.filter (fun (p, _) -> p != proc) !running;
       try_admit ();
       update_power ();
-      if !remaining_jobs = 0 then final_energy := Some (energies ()));
+      if remaining_jobs () = 0 then final_energy := Some (energies ()));
   (* A rolled-back migration leaves the thread on its source node; move
      its load count back from the destination it never reached. *)
   Kernel.Popcorn.on_migration_abort pop (fun _proc th ~dest ->
@@ -214,8 +224,7 @@ let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
   let fail_job job =
     job_event "job_fail" job [];
     incr failed;
-    decr remaining_jobs;
-    if !remaining_jobs = 0 then begin
+    if remaining_jobs () = 0 then begin
       makespan := Float.max !makespan (Sim.Engine.now engine);
       final_energy := Some (energies ())
     end
@@ -255,18 +264,7 @@ let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
       List.iter (fun j -> Queue.push j queue) survivors;
       update_power ();
       try_admit ());
-  (* Arrival events. Jobs wider than every machine can never be placed:
-     reject them at submission instead of letting them block the queue
-     head forever. *)
-  let max_cores =
-    Array.fold_left
-      (fun acc n -> max acc n.Kernel.Popcorn.machine.Machine.Server.cores)
-      0 pop.Kernel.Popcorn.nodes
-  in
-  let feasible, infeasible =
-    List.partition (fun (j : Job.t) -> j.Job.threads <= max_cores) jobs
-  in
-  remaining_jobs := List.length feasible;
+  (* Arrival events. *)
   let rejected = List.length infeasible in
   if Obs.enabled obs then
     List.iter
@@ -333,7 +331,8 @@ let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
         | Some (proc, job) ->
           (* [migratable] guarantees no pending requests, so every live
              thread currently counts at its [node]; re-point it at the
-             destination before the vDSO flags change the locations. *)
+             destination before the vDSO flags ([migrate_to]) change the
+             locations. *)
           List.iter
             (fun (th : Kernel.Process.thread) ->
               if th.Kernel.Process.status <> Kernel.Process.Done then begin
@@ -352,7 +351,7 @@ let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
   in
   if Policy.is_dynamic policy then begin
     let rec tick () =
-      if !remaining_jobs > 0 then begin
+      if remaining_jobs () > 0 then begin
         rebalance_once ();
         Sim.Engine.schedule_in engine ~after:rebalance_period tick
       end
@@ -364,20 +363,6 @@ let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
     match !final_energy with Some snapshot -> snapshot | None -> energies ()
   in
   let total_energy = Array.fold_left ( +. ) 0.0 energy in
-  let migrations =
-    List.fold_left
-      (fun acc c ->
-        acc
-        + List.fold_left
-            (fun acc (p : Kernel.Process.t) ->
-              acc
-              + List.fold_left
-                  (fun acc (th : Kernel.Process.thread) ->
-                    acc + th.Kernel.Process.migrations)
-                  0 p.Kernel.Process.threads)
-            0 c.Kernel.Container.processes)
-      0 pop.Kernel.Popcorn.containers
-  in
   let result =
     {
       policy;
@@ -385,7 +370,7 @@ let run ?(admission = Fcfs) ?(faults = Faults.Plan.zero) ?dsm_batch ?prefetch
       energy;
       total_energy;
       edp = total_energy *. !makespan;
-      migrations;
+      migrations = Kernel.Popcorn.migrations pop;
       completed = !completed;
       rejected;
       failed = !failed;

@@ -66,7 +66,6 @@ type post_rec = {
   p_dst : int;
   p_send_time : float;
   p_after : float;  (* the requested delay, exact (no float re-derivation) *)
-  p_deliver_time : float;
   p_seq : int;
   p_window : int;
 }
@@ -278,14 +277,13 @@ let push_to t ~dst ~time ~src ~seq act =
   Calendar.push t.islands.(dst).cal ~time ~src ~seq act;
   if time < t.heads.(dst) then t.heads.(dst) <- time
 
-let record_post cap isl ~dst ~after ~time =
+let record_post cap isl ~dst ~after =
   cap.k_posts <-
     {
       p_src = isl.id;
       p_dst = dst;
       p_send_time = now isl;
       p_after = after;
-      p_deliver_time = time;
       p_seq = isl.next_seq;
       p_window = isl.cur_window;
     }
@@ -307,7 +305,7 @@ let post isl ~dst ~after act =
     else push_to rt ~dst ~time ~src:isl.id ~seq act;
     (match isl.cap with
     | None -> ()
-    | Some cap -> record_post cap isl ~dst ~after ~time);
+    | Some cap -> record_post cap isl ~dst ~after);
     isl.next_seq <- seq + 1
   end
 

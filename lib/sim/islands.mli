@@ -47,8 +47,9 @@ type post_rec = {
   p_src : int;
   p_dst : int;
   p_send_time : float;
-  p_after : float;  (** requested delay, exact as passed to {!post} *)
-  p_deliver_time : float;
+  p_after : float;
+      (** requested delay, exact as passed to {!post}; the post is
+          delivered at [p_send_time +. p_after] *)
   p_seq : int;
   p_window : int;  (** window in which the post was made *)
 }

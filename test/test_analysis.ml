@@ -45,8 +45,8 @@ let diagnostic_report_deterministic () =
 
 (* --- race detector ------------------------------------------------------ *)
 
-let acc u page write = Analysis.Race.Access { unit_ = u; page; write }
-let sync src dst = Analysis.Race.Sync { src; dst }
+let acc node page write = Dsm.Hdsm.Obs_access { node; page; write }
+let sync src dst = Dsm.Hdsm.Obs_sync { src; dst }
 let detect = Analysis.Race.detect
 
 let race_basic () =
@@ -382,13 +382,13 @@ let capture_is_clean_and_nonempty () =
   let events, units = Lazy.force captured_log in
   checkb "log has accesses" true
     (List.exists
-       (function Analysis.Race.Access _ -> true | _ -> false)
+       (function Dsm.Hdsm.Obs_access _ -> true | _ -> false)
        events);
   checkb "log has sync edges" true
-    (List.exists (function Analysis.Race.Sync _ -> true | _ -> false) events);
+    (List.exists (function Dsm.Hdsm.Obs_sync _ -> true | _ -> false) events);
   checkb "both nodes accessed pages" true
     (List.exists
-       (function Analysis.Race.Access { unit_; _ } -> unit_ = 1 | _ -> false)
+       (function Dsm.Hdsm.Obs_access { node; _ } -> node = 1 | _ -> false)
        events);
   checki "coherent run is race-free" 0
     (List.length (Analysis.Race.detect ~units events))
@@ -400,7 +400,7 @@ let stripped_log_is_racy () =
   let events, units = Lazy.force captured_log in
   let stripped =
     List.filter
-      (function Analysis.Race.Access _ -> true | _ -> false)
+      (function Dsm.Hdsm.Obs_access _ -> true | _ -> false)
       events
   in
   checkb "stripped log races" true

@@ -82,7 +82,6 @@ let base_post =
     p_dst = 1;
     p_send_time = 0.0;
     p_after = 1.5;
-    p_deliver_time = 1.5;
     p_seq = 2;
     p_window = 0;
   }

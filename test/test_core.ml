@@ -116,20 +116,10 @@ let state_mapping_matches_section3 () =
   checkb "some frames differ in size" true
     (List.length m.Hetmig.Het.divergent_frames > 0)
 
-let vdso_flag_mechanics () =
-  let v = Kernel.Vdso.create () in
-  checkb "no request initially" true (Kernel.Vdso.poll v ~tid:1 = None);
-  Kernel.Vdso.request v ~tid:1 ~dest:1;
-  checkb "request visible" true (Kernel.Vdso.poll v ~tid:1 = Some 1);
-  checkb "other thread unaffected" true (Kernel.Vdso.poll v ~tid:2 = None);
-  Alcotest.check Alcotest.(list int) "pending" [ 1 ] (Kernel.Vdso.pending v);
-  Kernel.Vdso.clear v ~tid:1;
-  checkb "cleared" true (Kernel.Vdso.poll v ~tid:1 = None);
-  checki "polls counted" 4 (Kernel.Vdso.checks v)
-
 let vdso_drives_migration () =
-  (* The end-to-end mechanism: Popcorn.migrate raises the flag; the next
-     phase boundary honours it and clears it. *)
+  (* The end-to-end mechanism: Popcorn.migrate raises the thread's vDSO
+     flag word, [migrate_to]; the next phase boundary honours it and
+     clears it. *)
   let cluster = Hetmig.Het.make_cluster () in
   let spec = Workload.Spec.spec Workload.Spec.EP Workload.Spec.A in
   let b = Hetmig.Het.compile_benchmark Workload.Spec.EP Workload.Spec.A in
@@ -138,12 +128,10 @@ let vdso_drives_migration () =
   Hetmig.Het.run_until cluster 0.01;
   Hetmig.Het.migrate cluster proc ~to_node:1;
   let th = List.hd proc.Kernel.Process.threads in
-  checkb "flag raised" true
-    (Kernel.Vdso.pending cluster.Hetmig.Het.pop.Kernel.Popcorn.vdso
-    = [ th.Kernel.Process.tid ]);
+  checkb "flag raised" true (th.Kernel.Process.migrate_to = Some 1);
   Hetmig.Het.run cluster;
   checkb "flag cleared after migration" true
-    (Kernel.Vdso.pending cluster.Hetmig.Het.pop.Kernel.Popcorn.vdso = []);
+    (th.Kernel.Process.migrate_to = None);
   checki "thread migrated" 1 th.Kernel.Process.migrations
 
 let container_migration_moves_everything () =
@@ -177,7 +165,6 @@ let suite =
      cluster_migration_slower_but_completes);
     ("A->B->A through the OS", `Quick, multi_isa_binary_round_trip_through_os);
     ("Section-3 state mapping verified", `Quick, state_mapping_matches_section3);
-    ("vDSO flag mechanics", `Quick, vdso_flag_mechanics);
     ("vDSO drives migration end-to-end", `Quick, vdso_drives_migration);
     ("container migration moves everything", `Quick,
      container_migration_moves_everything);

@@ -417,8 +417,7 @@ let split_threads_pingpong_dsm () =
   (* Migrate only the second thread by raising its flag directly. *)
   let th2 = List.nth proc.Kernel.Process.threads 1 in
   Sim.Engine.schedule engine ~at:0.05 (fun () ->
-      Kernel.Vdso.request pop.Kernel.Popcorn.vdso ~tid:th2.Kernel.Process.tid
-        ~dest:1);
+      th2.Kernel.Process.migrate_to <- Some 1);
   Sim.Engine.run engine;
   checki "thread 2 migrated" 1 th2.Kernel.Process.node;
   let st = Dsm.Hdsm.stats pop.Kernel.Popcorn.dsm in
