@@ -5,11 +5,10 @@
     page access and an [Obs_sync] per coherence message (page fetch,
     invalidation, drain, prefetch transfer) — plus an [Obs_sync] per
     thread-migration handoff, then replays the log through the
-    vector-clock detector. A
-    coherent execution is race-free by construction — the protocol's own
-    messages order all conflicting accesses — so any reported race means
-    the coherence protocol let two kernels touch a page without a
-    message between them. *)
+    vector-clock detector. A coherent execution is race-free by
+    construction — the protocol's own messages order all conflicting
+    accesses — so any reported race means the coherence protocol let two
+    kernels touch a page without a message between them. *)
 
 val rules : (string * Diagnostic.severity * string) list
 
