@@ -316,8 +316,8 @@ let spawn t ~container ~node ~name ?binary ~footprint_bytes ~thread_phases
           t.nodes)
       threads;
   let proc =
-    Process.make ~pid ~name ~home:node ~data_pages:image.Loader.data_pages
-      ~threads ~transform_latency
+    Process.make ~pid ~home:node ~data_pages:image.Loader.data_pages ~threads
+      ~transform_latency
   in
   Container.add_process container proc;
   proc

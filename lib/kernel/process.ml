@@ -21,7 +21,6 @@ type thread = {
 
 type t = {
   pid : int;
-  name : string;
   mutable home : int;
   data_pages : Memsys.Page.range list;
   threads : thread list;
@@ -43,8 +42,8 @@ let make_thread ~tid ~node ~phases =
     gen = 0;
   }
 
-let make ~pid ~name ~home ~data_pages ~threads ~transform_latency =
-  { pid; name; home; data_pages; threads; transform_latency;
+let make ~pid ~home ~data_pages ~threads ~transform_latency =
+  { pid; home; data_pages; threads; transform_latency;
     finished_at = None; aborted = false }
 
 let alive t = List.exists (fun th -> th.status <> Done) t.threads

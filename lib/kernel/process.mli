@@ -43,7 +43,6 @@ type thread = {
 
 type t = {
   pid : int;
-  name : string;
   mutable home : int;  (** kernel holding residual dependencies *)
   data_pages : Memsys.Page.range list;
   threads : thread list;
@@ -59,7 +58,6 @@ val make_thread : tid:int -> node:int -> phases:phase Seq.t -> thread
 
 val make :
   pid:int ->
-  name:string ->
   home:int ->
   data_pages:Memsys.Page.range list ->
   threads:thread list ->
