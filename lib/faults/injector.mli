@@ -4,9 +4,9 @@
     — "is this send attempt lost?", "is this delivery delayed?", "did
     this page-request batch time out?". It counts nothing: the message
     bus counts what it lost ([Kernel.Message.retry_stats]). One injector
-    belongs to exactly one simulation engine;
-    a fresh injector from the same plan replays the same decisions in
-    the same order, which is what makes faulty runs bit-reproducible. *)
+    belongs to exactly one simulation engine; a fresh injector from the
+    same plan replays the same decisions in the same order, which is
+    what makes faulty runs bit-reproducible. *)
 
 type t
 
